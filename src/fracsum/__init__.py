@@ -47,7 +47,6 @@ from .solver import (
     MemoryCapError,
     SolveReport,
     exp_kron_apply,
-    factor_exponentials,
     oracle_apply,
     solve_cp,
     solve_dense,
@@ -58,7 +57,6 @@ from .tensors import (
     CPTensor,
     TTTensor,
     TuckerTensor,
-    cp_add,
     cp_als,
     fold,
     hosvd,

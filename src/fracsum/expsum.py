@@ -107,6 +107,9 @@ class ExpSumParams:
             raise ValueError(f"beta must equal cos(2*d/alpha) = {beta_expected}, got {self.beta}")
         if self.beta < _COS_PI_4 - 1e-12:
             raise ValueError("beta must be at least cos(pi/4); decrease d")
+        t_min = _lattice(self.alpha, self.h, np.array([-float(self.n_minus)]))[1][0]
+        if not t_min >= np.finfo(float).tiny:
+            raise ValueError(f"smallest exponent {t_min:g} is not a positive normal float; decrease n_minus*h")
 
     @property
     def n_terms(self) -> int:

@@ -26,17 +26,11 @@ __all__ = [
     "CPTensor",
     "TTTensor",
     "TuckerTensor",
-    "cp_add",
     "cp_als",
     "fold",
     "hosvd",
     "mode_product",
     "multi_mode_product",
-    "read_blocks",
-    "read_cp",
-    "read_dense",
-    "read_tt",
-    "read_tucker",
     "tt_add",
     "tt_mode_product",
     "tt_norm",
@@ -45,10 +39,6 @@ __all__ = [
     "unfold",
     "vec",
     "unvec",
-    "write_cp",
-    "write_dense",
-    "write_tt",
-    "write_tucker",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -145,20 +135,22 @@ class CPTensor:
         return cls(tuple(np.asarray(v, dtype=float).reshape(-1, 1) for v in vectors))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for l in range(self.rank):
-            term = self.factors[0][:, l]
-            for f in self.factors[1:]:
-                term = np.multiply.outer(term, f[:, l])
-            out += term
+        """Densify with one small matrix product per index of the last mode.
+
+        Slice ``k`` of the last mode is ``(KR(lead) * last[k]) @ KR(rest)^T``
+        for the Khatri-Rao products of the leading half and the rest of the
+        other modes, so no ``prod(n[:-1]) x rank`` array is formed.
+        """
+        *others, last = self.factors
+        if not others:
+            return last.sum(axis=1)
+        h = max(1, len(others) // 2)
+        lead = _khatri_rao(others[:h])
+        rest = _khatri_rao(others[h:]) if others[h:] else np.ones((1, self.rank))
+        out = np.empty(self.shape)
+        for k, row in enumerate(last):
+            out[..., k] = ((lead * row) @ rest.T).reshape(self.shape[:-1], order="F")
         return out
-
-
-def cp_add(x: CPTensor, y: CPTensor) -> CPTensor:
-    """Concatenate the rank-one terms of two CP tensors of the same shape."""
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return CPTensor(tuple(np.hstack([fx, fy]) for fx, fy in zip(x.factors, y.factors)))
 
 
 def _khatri_rao(mats) -> np.ndarray:
@@ -524,73 +516,3 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
         m = s[:r, None] * vt[:r]
         cores[j + 1] = np.tensordot(m, cores[j + 1], axes=([1], [0]))
     return _from_cores(cores)
-
-
-# ---------------------------------------------------------------------------
-# text fixtures: dense blocks, formats as concatenated blocks
-# ---------------------------------------------------------------------------
-
-def _format_block(x: np.ndarray) -> str:
-    x = np.asarray(x, dtype=float)
-    lines = [str(x.ndim), " ".join(str(n) for n in x.shape)]
-    lines += [f"{v:.17e}" for v in vec(x)]
-    return "\n".join(lines) + "\n"
-
-
-def write_dense(path, x: np.ndarray) -> None:
-    """Write one dense block: a line with d, a line with the shape, then the values."""
-    with open(path, "w") as fh:
-        fh.write(_format_block(x))
-
-
-def write_cp(path, x: CPTensor) -> None:
-    with open(path, "w") as fh:
-        for f in x.factors:
-            fh.write(_format_block(f))
-
-
-def write_tucker(path, x: TuckerTensor) -> None:
-    with open(path, "w") as fh:
-        fh.write(_format_block(x.core))
-        for f in x.factors:
-            fh.write(_format_block(f))
-
-
-def write_tt(path, x: TTTensor) -> None:
-    with open(path, "w") as fh:
-        for c in x.carriages:
-            fh.write(_format_block(c))
-
-
-def read_blocks(path) -> list:
-    """Read every dense block in a fixture file."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    blocks = []
-    pos = 0
-    while pos < len(tokens):
-        d = int(tokens[pos])
-        shape = tuple(int(t) for t in tokens[pos + 1: pos + 1 + d])
-        count = int(np.prod(shape))
-        values = np.array([float(t) for t in tokens[pos + 1 + d: pos + 1 + d + count]])
-        blocks.append(unvec(values, shape))
-        pos += 1 + d + count
-    return blocks
-
-
-def read_dense(path) -> np.ndarray:
-    (block,) = read_blocks(path)
-    return block
-
-
-def read_cp(path) -> CPTensor:
-    return CPTensor(tuple(read_blocks(path)))
-
-
-def read_tucker(path) -> TuckerTensor:
-    blocks = read_blocks(path)
-    return TuckerTensor(core=blocks[0], factors=tuple(blocks[1:]))
-
-
-def read_tt(path) -> TTTensor:
-    return TTTensor(tuple(read_blocks(path)))

@@ -119,6 +119,10 @@ class TestSelectParams:
             ExpSumParams(p.alpha, p.eps, p.d, p.h * 1.01, p.n_minus, p.n_plus, p.beta)
         with pytest.raises(ValueError):
             ExpSumParams(p.alpha, p.eps, p.d * 2.0, p.h, p.n_minus, p.n_plus, p.beta)
+        # t_{-190} = log1p(exp(-190))**4 underflows to 0 at h = 1
+        d = math.pi * 0.25 / 8.0
+        with pytest.raises(ValueError, match="positive normal"):
+            ExpSumParams(0.25, math.exp(-2.0 * math.pi * d), d, 1.0, 190, 1, math.cos(8.0 * d))
 
     def test_custom_strip_width(self):
         p = select_params(0.5, 1e-6, d=0.1)

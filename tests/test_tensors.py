@@ -1,4 +1,4 @@
-"""Tensor formats, rank-controlled arithmetic and fixture serialization."""
+"""Tensor formats and rank-controlled arithmetic."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,11 @@ from fracsum.tensors import (
     CPTensor,
     TTTensor,
     TuckerTensor,
-    cp_add,
     cp_als,
     fold,
     hosvd,
     mode_product,
     multi_mode_product,
-    read_cp,
-    read_dense,
-    read_tt,
-    read_tucker,
     tt_add,
     tt_mode_product,
     tt_norm,
@@ -25,10 +20,6 @@ from fracsum.tensors import (
     unfold,
     unvec,
     vec,
-    write_cp,
-    write_dense,
-    write_tt,
-    write_tucker,
 )
 
 from _oracles import numerical_multilinear_ranks
@@ -306,24 +297,13 @@ class TestRankSubadditivity:
 
 
 class TestCP:
-    def test_add_concatenates(self):
-        x = CPTensor(tuple(rand((4, 2), i) for i in range(3)))
-        y = CPTensor(tuple(rand((4, 3), i + 5) for i in range(3)))
-        s = cp_add(x, y)
-        assert s.rank == 5
-        np.testing.assert_allclose(s.to_dense(), x.to_dense() + y.to_dense(), atol=1e-13)
-
-    def test_add_zero_rank_identity(self):
-        zero = CPTensor(tuple(np.zeros((4, 0)) for _ in range(3)))
-        x = CPTensor(tuple(rand((4, 2), i) for i in range(3)))
-        np.testing.assert_array_equal(cp_add(zero, x).to_dense(), x.to_dense())
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cp_add(
-                CPTensor(tuple(rand((4, 1), i) for i in range(3))),
-                CPTensor((rand((4, 1), 9), rand((5, 1), 8), rand((4, 1), 7))),
-            )
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_to_dense_matches_einsum(self, d):
+        shape = (4, 3, 5, 2, 3)[:d]
+        factors = tuple(rand((n, 6), 30 + i) for i, n in enumerate(shape))
+        letters = "abcde"[:d]
+        spec = ",".join(f"{a}z" for a in letters) + "->" + letters
+        np.testing.assert_allclose(CPTensor(factors).to_dense(), np.einsum(spec, *factors), rtol=1e-13, atol=1e-13)
 
     def test_als_recovers_rank_one(self):
         x = CPTensor.from_rank1([rand(5, 1), rand(6, 2), rand(4, 3)]).to_dense()
@@ -388,29 +368,3 @@ class TestRoundTrips:
         x = original.to_dense()
         back = cp_als(x, rank=2, rng=4, init=original, restarts=1).to_dense()
         assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
-
-
-class TestFixtureIO:
-    def test_dense_block_layout(self, tmp_path):
-        x = rand((2, 3), 1)
-        path = tmp_path / "dense.txt"
-        write_dense(path, x)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "2"
-        assert lines[1] == "2 3"
-        assert len(lines) == 2 + 6  # values in linearization order, one per line
-        np.testing.assert_array_equal(read_dense(path), x)
-
-    def test_format_roundtrips(self, tmp_path):
-        cp = CPTensor(tuple(rand((4, 2), i) for i in range(3)))
-        write_cp(tmp_path / "cp.txt", cp)
-        np.testing.assert_array_equal(read_cp(tmp_path / "cp.txt").to_dense(), cp.to_dense())
-
-        tucker = hosvd(rand((4, 5, 3), 9), ranks=(2, 2, 2))
-        write_tucker(tmp_path / "tk.txt", tucker)
-        back = read_tucker(tmp_path / "tk.txt")
-        np.testing.assert_array_equal(back.to_dense(), tucker.to_dense())
-
-        tt = tt_svd(rand((3, 4, 5), 10), tol=0.0)
-        write_tt(tmp_path / "tt.txt", tt)
-        np.testing.assert_array_equal(read_tt(tmp_path / "tt.txt").to_dense(), tt.to_dense())
