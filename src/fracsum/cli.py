@@ -255,12 +255,17 @@ def cmd_poisson(args) -> None:
         err = float(np.linalg.norm(x - x_ref) / ref_norm)
         rows.append((es.n_terms, err))
         last = es
-    d_strip = math.pi * args.alpha / 8.0
-    scale = max(err * math.exp(math.sqrt(2.0 * math.pi * d_strip * n)) for n, err in rows)
-    rows = [(n, err, scale * math.exp(-math.sqrt(2.0 * math.pi * d_strip * n))) for n, err in rows]
+    rows = [row + (ref,) for row, ref in zip(rows, _reference_curve(args.alpha, rows, 1))]
     _write_rows(args.out, rows)
     print(args.out)
     _dump(last, args.dump_expsum)
+
+
+def _reference_curve(alpha: float, rows, col: int) -> list:
+    """``scale * exp(-sqrt(2*pi*d*N))`` at ``N = row[0]``, ``d = pi*alpha/8``, touching column ``col`` from above."""
+    d_strip = math.pi * alpha / 8.0
+    scale = max(r[col] * math.exp(math.sqrt(2.0 * math.pi * d_strip * r[0])) for r in rows)
+    return [scale * math.exp(-math.sqrt(2.0 * math.pi * d_strip * r[0])) for r in rows]
 
 
 def _parse_lengths(text: str):
@@ -306,7 +311,6 @@ def cmd_rank_decay(args) -> None:
     rhs = sample_rhs(RhsSpec(kind="random_rank1", d=d, seed=args.seed), grids)
     x_ref = oracle_apply(ks, rhs.to_dense(), args.alpha, memory_cap=args.memory_cap)
 
-    d_strip = math.pi * args.alpha / 8.0
     rows = []
     for rank in range(3, args.N + 1):
         es = build_expsum(params_for_terms(args.alpha, rank))
@@ -330,8 +334,7 @@ def cmd_rank_decay(args) -> None:
                 report.error_bound,
             )
         )
-    scale = max(r[5] * math.exp(math.sqrt(2.0 * math.pi * d_strip * r[0])) for r in rows)
-    rows = [r + (scale * math.exp(-math.sqrt(2.0 * math.pi * d_strip * r[0])),) for r in rows]
+    rows = [row + (ref,) for row, ref in zip(rows, _reference_curve(args.alpha, rows, 5))]
     _write_rows(args.out, rows)
     print(args.out)
 

@@ -97,9 +97,9 @@ class ExpSumParams:
             raise ValueError("truncation counts must be nonnegative")
         # The truncation counts may exceed the minimal certified values, never
         # undercut them (extra terms only shrink the dropped tails).
-        if self.n_minus + 1e-9 < 2.0 * math.pi * self.d / self.h**2:
+        n_minus_min, n_plus_min = _truncation_minima(self.alpha, self.d, self.h, self.beta)
+        if self.n_minus + 1e-9 < n_minus_min:
             raise ValueError("n_minus below the certified minimum 2*pi*d/h^2")
-        n_plus_min = (2.0 * math.pi * self.d * self.h ** (-(self.alpha + 1.0) / self.alpha) / self.beta) ** self.alpha
         if self.n_plus + 1e-9 < n_plus_min:
             raise ValueError(f"n_plus below the certified minimum {n_plus_min}")
         beta_expected = math.cos(2.0 * self.d / self.alpha)
@@ -229,9 +229,13 @@ def _certified_counts(alpha: float, d: float, log_inv_eps: float):
     """Step size, decay constant and minimal truncation counts for one target."""
     h = 2.0 * math.pi * d / log_inv_eps
     beta = math.cos(2.0 * d / alpha)
-    n_minus = math.ceil(2.0 * math.pi * d / h**2)
-    n_plus = math.ceil((2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / beta) ** alpha)
-    return h, beta, n_minus, n_plus
+    n_minus_min, n_plus_min = _truncation_minima(alpha, d, h, beta)
+    return h, beta, math.ceil(n_minus_min), math.ceil(n_plus_min)
+
+
+def _truncation_minima(alpha: float, d: float, h: float, beta: float):
+    """The certified minimal truncation counts ``2*pi*d/h^2`` and ``(2*pi*d*h^(-(alpha+1)/alpha)/beta)^alpha``."""
+    return 2.0 * math.pi * d / h**2, (2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / beta) ** alpha
 
 
 def params_for_terms(alpha: float, n_terms: int, d: float | None = None) -> ExpSumParams:
@@ -460,8 +464,8 @@ def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParam
         eps = math.exp(-log_inv_eps)
         d = h * math.log(1.0 / eps) / (2.0 * math.pi)
         beta = math.cos(2.0 * d / alpha)
-        n_plus_min = (2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / beta) ** alpha
-        ok = d > 0.0 and n_minus + 1e-9 >= 2.0 * math.pi * d / h**2 and n_plus + 1e-9 >= n_plus_min
+        n_minus_min, n_plus_min = _truncation_minima(alpha, d, h, beta)
+        ok = d > 0.0 and n_minus + 1e-9 >= n_minus_min and n_plus + 1e-9 >= n_plus_min
         return ok, eps, d, beta
 
     widest = 2.0 * math.pi * (math.pi * alpha / 8.0) / h

@@ -18,10 +18,11 @@ sum the filter is the rank-N CP tensor
 
 the exact reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)``
 and :func:`exp_kron_apply` uses ``F = exp(t * sum_i Lambda_i)``.  Dense
-tensors are rotated mode by mode.  CP and Tucker factors and tensor-train
-carriages are rotated once, scaled term by term along their mode index, and
-rotated back, so the construction maps verbatim onto those formats and yields
-the rank growth certificates checked in the test suite.
+tensors are rotated by :func:`fracsum.tensors.multi_mode_product`.  CP and
+Tucker factors and tensor-train carriages are rotated once, scaled term by
+term along their mode index, and rotated back, so the construction maps
+verbatim onto those formats and yields the rank growth certificates checked
+in the test suite.  All paths share one weight scaling and one report builder.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .tensors import (
     _khatri_rao,
     hosvd,
     mode_product,
+    multi_mode_product,
     tt_add,
     tt_mode_product,
     tt_norm,
@@ -149,19 +151,25 @@ class SolveReport:
             raise ValueError("error_bound must be nonnegative")
 
 
-def _rotate(x: np.ndarray, qs, transpose: bool = False) -> np.ndarray:
-    """Apply ``Q_i`` (or ``Q_i^T``) along each of the leading ``len(qs)`` axes.
+def _scale(ks: KroneckerSum, es: ExpSum) -> float:
+    """``lambda_min**(-alpha)``: the factor between the sum on the scaled spectrum and the solution."""
+    return ks.lambda_min ** (-es.params.alpha)
 
-    Each step contracts the leading axis and appends the result as the last
-    one, so every product is a single matrix product on a reshaped view; the
-    remaining axes, if any, are moved back behind the rotated ones at the end.
-    """
-    x = np.asarray(x)
-    for q in qs:
-        m = x.reshape(x.shape[0], -1).T @ (q if transpose else q.T)
-        x = m.reshape(x.shape[1:] + (q.shape[0],))
-    k = len(qs)
-    return np.moveaxis(x, range(x.ndim - k, x.ndim), range(k)) if k < x.ndim else x
+
+def _scaled_weights(ks: KroneckerSum, es: ExpSum) -> np.ndarray:
+    """The sum's weights times ``lambda_min**(-alpha)``."""
+    return _scale(ks, es) * es.weights
+
+
+def _report(ks: KroneckerSum, es: ExpSum, start: float, cnorm: float, ranks=(), allowance: float = 0.0) -> SolveReport:
+    """The report of a solve of a right-hand side of norm ``cnorm`` begun at ``start``."""
+    return SolveReport(
+        n_terms=es.n_terms,
+        error_bound=_scale(ks, es) * certified_bound(es) * cnorm + allowance,
+        wall_time=time.perf_counter() - start,
+        ranks=ranks,
+        lambda_min=ks.lambda_min,
+    )
 
 
 def _decays(ks: KroneckerSum, es: ExpSum) -> list:
@@ -187,7 +195,7 @@ def _sum_filter(weights: np.ndarray, decays) -> np.ndarray:
 def _filter(ks: KroneckerSum, c: np.ndarray, filt: np.ndarray) -> np.ndarray:
     """``Q (filt * Q^T c)``: a diagonal filter on the joint eigenbasis applied to ``c``."""
     qs = [q for _, q in ks.spectra]
-    return _rotate(filt * _rotate(c, qs, transpose=True), qs)
+    return multi_mode_product(filt * multi_mode_product(c, [q.T for q in qs]), qs)
 
 
 def _eigenvalue_sums(ks: KroneckerSum) -> np.ndarray:
@@ -203,8 +211,8 @@ def _stacked_factors(ks: KroneckerSum, decays, factors) -> list:
     """
     blocks = []
     for (_, q), decay, u in zip(ks.spectra, decays, factors):
-        y = _rotate(u, [q], transpose=True)
-        blocks.append(_rotate(decay[:, :, None] * y[:, None, :], [q]).reshape(len(decay), -1))
+        y = q.T @ u
+        blocks.append(q @ (decay[:, :, None] * y[:, None, :]).reshape(len(decay), -1))
     return blocks
 
 
@@ -220,17 +228,8 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum):
     c = np.asarray(c, dtype=float)
     ks._check_shape(c.shape)
     start = time.perf_counter()
-    lam_min = ks.lambda_min
-    prefactor = lam_min ** (-es.params.alpha)
-    x = _filter(ks, c, _sum_filter(prefactor * es.weights, _decays(ks, es)))
-    report = SolveReport(
-        n_terms=es.n_terms,
-        error_bound=prefactor * certified_bound(es) * float(np.linalg.norm(c)),
-        wall_time=time.perf_counter() - start,
-        ranks=(),
-        lambda_min=lam_min,
-    )
-    return x, report
+    x = _filter(ks, c, _sum_filter(_scaled_weights(ks, es), _decays(ks, es)))
+    return x, _report(ks, es, start, float(np.linalg.norm(c)))
 
 
 def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
@@ -243,20 +242,10 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     """
     ks._check_shape(c.shape)
     start = time.perf_counter()
-    lam_min = ks.lambda_min
-    prefactor = lam_min ** (-es.params.alpha)
     decays = _decays(ks, es)
-    decays[0] = decays[0] * (prefactor * es.weights)
+    decays[0] = decays[0] * _scaled_weights(ks, es)
     result = CPTensor(tuple(_stacked_factors(ks, decays, c.factors)))
-    cnorm = _cp_norm(c)
-    report = SolveReport(
-        n_terms=es.n_terms,
-        error_bound=prefactor * certified_bound(es) * cnorm,
-        wall_time=time.perf_counter() - start,
-        ranks=(result.rank,),
-        lambda_min=lam_min,
-    )
-    return result, report
+    return result, _report(ks, es, start, _cp_norm(c), ranks=(result.rank,))
 
 
 def _cp_norm(c: CPTensor) -> float:
@@ -273,39 +262,37 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum, truncate_tol: fl
     is a valid Tucker tensor with multilinear ranks at most
     ``min(n_terms * rank_i, n_i)``; pass ``truncate_tol`` to recompress the
     core with a final truncated HOSVD.
+
+    The new core ``sum_j w_j * C x_1 R_1j ... x_d R_dj`` (``R_ij``: blocks of
+    the triangular factors) is contracted ``r'_d // r_d`` terms at a time, so
+    no intermediate exceeds the core: modes 1..d-1 by products batched over
+    the terms, the last by one product that also sums them.
     """
     ks._check_shape(c.shape)
     start = time.perf_counter()
-    lam_min = ks.lambda_min
-    prefactor = lam_min ** (-es.params.alpha)
-    n_terms = es.n_terms
-
     qs, r_blocks = zip(*(np.linalg.qr(b) for b in _stacked_factors(ks, _decays(ks, es), c.factors)))
-    r = c.ranks
-    core_shape = tuple(qi.shape[1] for qi in qs)
-    core = np.zeros(core_shape)
-    for j, w in enumerate(es.weights):
-        mats = [r_blocks[i][:, j * r[i]:(j + 1) * r[i]] for i in range(ks.ndim)]
-        term = c.core
-        for i, m in enumerate(mats):
-            term = mode_product(term, i, m)
-        core += (prefactor * w) * term
+    # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
+    r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
+    weights = _scaled_weights(ks, es)
+    ranks = tuple(len(b) for b in r_blocks)
+    chunk = max(1, ranks[-1] // c.ranks[-1])
+    core = np.zeros((np.prod(ranks[:-1], dtype=int), ranks[-1]))
+    for lo in range(0, es.n_terms, chunk):
+        terms = slice(lo, lo + chunk)
+        x = weights[terms].reshape((-1,) + (1,) * c.core.ndim) * c.core
+        for b in r_blocks[:-1]:
+            # contract axis 1 with each term's block; its new index becomes the last axis
+            m = np.matmul(x.reshape(*x.shape[:2], -1).transpose(0, 2, 1), b[:, terms].transpose(1, 2, 0))
+            x = m.reshape(x.shape[:1] + x.shape[2:] + (len(b),))
+        last = r_blocks[-1][:, terms].transpose(1, 2, 0).reshape(-1, ranks[-1])
+        core += x.reshape(len(last), -1).T @ last
+    core = core.reshape(ranks)
     result = TuckerTensor(core=core, factors=qs)
     if truncate_tol is not None:
         inner = hosvd(core, tol=truncate_tol)
-        result = TuckerTensor(
-            core=inner.core,
-            factors=tuple(qi @ vi for qi, vi in zip(qs, inner.factors)),
-        )
-    cnorm = float(np.linalg.norm(c.core))  # factors are orthonormal
-    report = SolveReport(
-        n_terms=n_terms,
-        error_bound=prefactor * certified_bound(es) * cnorm,
-        wall_time=time.perf_counter() - start,
-        ranks=result.ranks,
-        lambda_min=lam_min,
-    )
-    return result, report
+        result = TuckerTensor(core=inner.core, factors=tuple(qi @ vi for qi, vi in zip(qs, inner.factors)))
+    # the factors are orthonormal, so the core carries the norm
+    return result, _report(ks, es, start, float(np.linalg.norm(c.core)), ranks=result.ranks)
 
 
 def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12):
@@ -327,16 +314,15 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
         raise ValueError("round_tol must be nonnegative")
     start = time.perf_counter()
     decays = _decays(ks, es)
-    lam_min = ks.lambda_min
-    prefactor = lam_min ** (-es.params.alpha)
+    weights = _scaled_weights(ks, es)
     cnorm = tt_norm(c)
     qs = [q for _, q in ks.spectra]
-    rotated = _tt_rotate(c, [q.T for q in qs])
+    rotated = _tt_mode_products(c, [q.T for q in qs])
 
     acc = None
     rounding_allowance = 0.0
-    for j, w in enumerate(es.weights):
-        term = _tt_scale(rotated, [decay[:, j] for decay in decays], prefactor * w)
+    for j, w in enumerate(weights):
+        term = _tt_scale(rotated, [decay[:, j] for decay in decays], w)
         if acc is None:
             acc = term
             continue
@@ -346,18 +332,11 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
             if pnorm > 0.0:
                 acc = tt_round(acc, round_tol * cnorm / pnorm)
                 rounding_allowance += round_tol * cnorm
-    acc = _tt_rotate(acc, qs)
-    report = SolveReport(
-        n_terms=es.n_terms,
-        error_bound=prefactor * certified_bound(es) * cnorm + rounding_allowance,
-        wall_time=time.perf_counter() - start,
-        ranks=acc.ranks,
-        lambda_min=lam_min,
-    )
-    return acc, report
+    acc = _tt_mode_products(acc, qs)
+    return acc, _report(ks, es, start, cnorm, ranks=acc.ranks, allowance=rounding_allowance)
 
 
-def _tt_rotate(x: TTTensor, mats) -> TTTensor:
+def _tt_mode_products(x: TTTensor, mats) -> TTTensor:
     for i, m in enumerate(mats):
         x = tt_mode_product(x, i, m)
     return x

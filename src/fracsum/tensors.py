@@ -6,6 +6,8 @@ first index varying fastest.  Under this convention the mode-1 product of a
 matrix with a d = 2 tensor is the ordinary product ``A @ X``, and the mode-i
 product corresponds to the Kronecker-structured matrix with the non-identity
 factor in position i counted from the right acting on ``vec(X)``.
+:func:`multi_mode_product` is the one kernel for a matrix along every mode:
+the solver's rotations, Tucker densification and the HOSVD core use it.
 
 Formats:
 
@@ -93,12 +95,20 @@ def mode_product(x: np.ndarray, mode: int, a: np.ndarray) -> np.ndarray:
 
 
 def multi_mode_product(x: np.ndarray, mats) -> np.ndarray:
-    """Apply one matrix (or ``None`` for identity) per mode."""
-    y = np.asarray(x)
-    for i, a in enumerate(mats):
-        if a is not None:
-            y = mode_product(y, i, a)
-    return y
+    """``x x_1 mats[0] ... x_d mats[d-1]``: exactly one matrix per mode.
+
+    Each step contracts the leading axis by one matrix product on a reshaped
+    view and appends the result as the last axis, so after ``d`` steps the
+    modes are back in order.  Equal to the chain of :func:`mode_product` calls.
+    """
+    x = np.asarray(x)
+    if len(mats) != x.ndim:
+        raise ValueError(f"need one matrix per mode: got {len(mats)} for a {x.ndim}-way tensor")
+    for i, a in enumerate(map(np.asarray, mats)):
+        if a.ndim != 2 or a.shape[1] != x.shape[0]:
+            raise ValueError(f"matrix of shape {a.shape} does not match mode {i} of extent {x.shape[0]}")
+        x = (x.reshape(x.shape[0], -1).T @ a.T).reshape(x.shape[1:] + (a.shape[0],))
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -127,17 +127,20 @@ class TestSolveCP:
 
 
 class TestRawFormula:
-    def test_every_path_matches_the_sum_of_matrix_exponentials(self):
+    @pytest.mark.parametrize("sizes", [(3, 4), (3, 4, 5), (2, 3, 4, 3)], ids=["d2", "d3", "d4"])
+    def test_every_path_matches_the_sum_of_matrix_exponentials(self, sizes):
         # The reference never diagonalizes: each term is a Taylor matrix
         # exponential of the assembled Kronecker sum, so a shared defect in
         # the eigenbasis kernel of the solvers and the oracle shows here.
+        # Tucker runs at full ranks, so its chunked core contraction sees
+        # every mode in d = 2, 3 and 4.
         rng = np.random.default_rng(21)
-        factors = [random_spd(rng, n) for n in (3, 4, 5)]
+        factors = [random_spd(rng, n) for n in sizes]
         ks = KroneckerSum(factors)
         es = build_expsum(params_for_terms(0.4, 30))
         lam_min = ks.lambda_min
         k = kron_sum_matrix(factors)
-        cp = CPTensor(tuple(rng.standard_normal((n, 2)) for n in (3, 4, 5)))
+        cp = CPTensor(tuple(rng.standard_normal((n, 2)) for n in sizes))
         c = cp.to_dense()
         ref = lam_min**-0.4 * sum(
             w * (expm_taylor(-t * k / lam_min) @ vec(c)) for w, t in zip(es.weights, es.exponents)

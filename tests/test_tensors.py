@@ -107,6 +107,20 @@ class TestModeProduct:
         y = mode_product(x, 1, rand((6, 6), 7))
         assert all(r <= s for r, s in zip(numerical_multilinear_ranks(y), base))
 
+    def test_multi_mode_product_is_the_chain_of_mode_products(self):
+        x = rand((2, 3, 4, 5), 12)
+        mats = [rand((m, n), 13 + i) for i, (m, n) in enumerate(zip((4, 1, 6, 3), x.shape))]
+        chain = x
+        for i, a in enumerate(mats):
+            chain = mode_product(chain, i, a)
+        y = multi_mode_product(x, mats)
+        assert y.shape == (4, 1, 6, 3)
+        np.testing.assert_allclose(y, chain, rtol=0, atol=1e-13 * np.linalg.norm(chain))
+        with pytest.raises(ValueError, match="one matrix per mode"):
+            multi_mode_product(x, mats[:3])
+        with pytest.raises(ValueError, match="mode 2"):
+            multi_mode_product(x, mats[:2] + [rand((6, 5), 20), mats[3]])
+
 
 class TestHosvd:
     def test_exact_recovery_of_constructed_tucker(self):
