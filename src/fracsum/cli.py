@@ -280,7 +280,7 @@ def _parse_lengths(text: str):
 
 def _solve_in_format(ks, rhs, dense, es, args) -> np.ndarray:
     if args.format == "dense":
-        x, _ = solve_dense(ks, dense, es)
+        x, _ = solve_dense(ks, dense, es, memory_cap=args.memory_cap)
         return x
     if args.format == "cp":
         x, _ = solve_cp(ks, rhs, es)

@@ -95,6 +95,8 @@ class ExpSumParams:
             raise ValueError(f"h must equal 2*pi*d/log(1/eps) = {h_expected}, got {self.h}")
         if self.n_minus < 0 or self.n_plus < 0:
             raise ValueError("truncation counts must be nonnegative")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         # The truncation counts may exceed the minimal certified values, never
         # undercut them (extra terms only shrink the dropped tails).
         n_minus_min, n_plus_min = _truncation_minima(self.alpha, self.d, self.h, self.beta)

@@ -27,6 +27,7 @@ in the test suite.  All paths share one weight scaling and one report builder.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -39,6 +40,8 @@ from .tensors import (
     TTTensor,
     TuckerTensor,
     _khatri_rao,
+    _tt_add_round,
+    _tt_reversed,
     hosvd,
     mode_product,
     multi_mode_product,
@@ -172,6 +175,12 @@ def _report(ks: KroneckerSum, es: ExpSum, start: float, cnorm: float, ranks=(), 
     )
 
 
+def _check_memory(c: np.ndarray, memory_cap: int, path: str) -> None:
+    """Raise :class:`MemoryCapError` when a dense path on ``c`` would exceed ``memory_cap`` entries."""
+    if c.size > memory_cap:
+        raise MemoryCapError(f"{path} needs {c.size} entries, cap is {memory_cap}")
+
+
 def _decays(ks: KroneckerSum, es: ExpSum) -> list:
     """Per mode, the ``n_i x N`` matrix ``exp(-t_j * lam_i / lambda_min)``."""
     lam_min = ks.lambda_min
@@ -216,17 +225,19 @@ def _stacked_factors(ks: KroneckerSum, decays, factors) -> list:
     return blocks
 
 
-def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum):
+def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = DEFAULT_MEMORY_CAP):
     """Approximate the inverse fractional power applied to a dense tensor.
 
     The filter of the sum is densified once on the eigenvalue lattice and
     applied between one rotation into the joint eigenbasis and one rotation
     back.  Returns the approximation together with a :class:`SolveReport`;
     the report's ``error_bound`` certifies the Frobenius distance to the
-    exact solution.
+    exact solution.  Raises :class:`MemoryCapError` before the filter is
+    formed when ``c`` has more than ``memory_cap`` entries.
     """
     c = np.asarray(c, dtype=float)
     ks._check_shape(c.shape)
+    _check_memory(c, memory_cap, "dense solve")
     start = time.perf_counter()
     x = _filter(ks, c, _sum_filter(_scaled_weights(ks, es), _decays(ks, es)))
     return x, _report(ks, es, start, float(np.linalg.norm(c)))
@@ -300,14 +311,18 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
 
     The carriages are rotated into the joint eigenbasis once; there each term
     only scales every carriage along its mode index.  Terms are accumulated
-    in ascending order and the running sum is recompressed after every
-    addition with absolute threshold ``round_tol * ||c||_F`` (no
-    recompression at all when ``round_tol`` is zero, in which case the ranks
-    are bounded by ``n_terms * ranks(c)``); the sum is rotated back at the
-    end.  Rounding commutes with the orthogonal rotations, and each
-    recompression adds at most its threshold to the error, so the report's
-    ``error_bound`` includes that allowance on top of the certified
-    quadrature bound.
+    in ascending order, and the sum is rotated back at the end.  With a
+    positive ``round_tol`` (and ``c != 0``) every addition is rounded at the
+    absolute per-step threshold ``round_tol * ||c||_F / sqrt(d-1)``, so each
+    moves the sum by at most ``round_tol * ||c||_F``: the first term is
+    rounded losslessly, which leaves it left-orthogonal, and each later term
+    only extends that orthogonal basis before the truncation sweep.  The
+    sweep leaves the sum right-orthogonal, so the next addition works on the
+    train with its modes reversed, where it is left-orthogonal again.  With
+    ``round_tol`` zero there is no recompression at all, and the ranks are
+    bounded by ``n_terms * ranks(c)``.  Rounding commutes with the orthogonal
+    rotations, so the report's ``error_bound`` adds the ``n_terms - 1``
+    rounding allowances to the certified quadrature bound.
     """
     ks._check_shape(c.shape)
     if round_tol < 0.0:
@@ -319,19 +334,22 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     qs = [q for _, q in ks.spectra]
     rotated = _tt_mode_products(c, [q.T for q in qs])
 
-    acc = None
+    delta = round_tol * cnorm / math.sqrt(c.ndim - 1)
+    terms = (_tt_scale(rotated, [decay[:, j] for decay in decays], w) for j, w in enumerate(weights))
+    acc = next(terms)
+    if delta > 0.0:
+        acc = tt_round(acc, 0.0)
     rounding_allowance = 0.0
-    for j, w in enumerate(weights):
-        term = _tt_scale(rotated, [decay[:, j] for decay in decays], w)
-        if acc is None:
-            acc = term
-            continue
-        acc = tt_add(acc, term)
-        if round_tol > 0.0 and cnorm > 0.0:
-            pnorm = tt_norm(acc)
-            if pnorm > 0.0:
-                acc = tt_round(acc, round_tol * cnorm / pnorm)
-                rounding_allowance += round_tol * cnorm
+    flipped = False  # acc holds the modes in reverse order
+    for term in terms:
+        if delta == 0.0:
+            acc = tt_add(acc, term)
+        else:
+            acc = _tt_reversed(_tt_add_round(acc, _tt_reversed(term) if flipped else term, delta))
+            flipped = not flipped
+            rounding_allowance += round_tol * cnorm
+    if flipped:
+        acc = _tt_reversed(acc)
     acc = _tt_mode_products(acc, qs)
     return acc, _report(ks, es, start, cnorm, ranks=acc.ranks, allowance=rounding_allowance)
 
@@ -364,9 +382,7 @@ def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int 
     ks._check_shape(c.shape)
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    total = int(np.prod(c.shape))
-    if total > memory_cap:
-        raise MemoryCapError(f"dense oracle needs {total} entries, cap is {memory_cap}")
+    _check_memory(c, memory_cap, "dense oracle")
     return _filter(ks, c, _eigenvalue_sums(ks) ** (-alpha))
 
 

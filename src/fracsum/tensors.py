@@ -15,6 +15,11 @@ Formats:
 * :class:`TuckerTensor` -- dense core times per-mode orthonormal factors.
 * :class:`TTTensor` -- tensor train; boundary carriages are matrices, the
   inner ones order-3 arrays.
+
+Train recompression has one SVD truncation sweep.  :func:`tt_round`
+orthogonalizes the whole train before it; the private ``_tt_add_round``
+rounds a sum ``a + t`` whose ``a`` is already left-orthogonal, so only
+``t``'s block is orthogonalized, and its threshold is absolute.
 """
 
 from __future__ import annotations
@@ -516,13 +521,78 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
         cores[j] = q.T.reshape(rank, n, r1)
         cores[j - 1] = np.tensordot(cores[j - 1], r.T, axes=([2], [0]))
     norm = np.linalg.norm(cores[0])
-    delta = tol * norm / math.sqrt(max(d - 1, 1))
-    # left-to-right truncation sweep
-    for j in range(d - 1):
+    return _from_cores(_svd_sweep(cores, tol * norm / math.sqrt(max(d - 1, 1))))
+
+
+def _svd_sweep(cores, delta: float) -> list:
+    """Left-to-right SVD truncation of cores 0..d-2 at absolute threshold ``delta`` per step.
+
+    With cores 1..d-1 right-orthogonal on entry, each step drops singular
+    values of the exact unfolding, so the result is within
+    ``sqrt(d-1)*delta`` of the input; cores 0..d-2 leave left-orthogonal.
+    """
+    for j in range(len(cores) - 1):
         r0, n, r1 = cores[j].shape
         u, s, vt = np.linalg.svd(cores[j].reshape(r0 * n, r1), full_matrices=False)
         r = _truncation_rank(s, delta)
         cores[j] = u[:, :r].reshape(r0, n, r)
         m = s[:r, None] * vt[:r]
         cores[j + 1] = np.tensordot(m, cores[j + 1], axes=([1], [0]))
-    return _from_cores(cores)
+    return cores
+
+
+def _tt_reversed(x: TTTensor) -> TTTensor:
+    """The train of ``x`` with its modes in reverse order; left- and right-orthogonality swap."""
+    first, *inner, last = x.carriages
+    return TTTensor((last.T, *[c.transpose(2, 1, 0) for c in reversed(inner)], first.T))
+
+
+def _tt_add_round(a: TTTensor, t: TTTensor, delta: float) -> TTTensor:
+    """``a + t`` rounded at absolute threshold ``delta`` per step, for a left-orthogonal ``a``.
+
+    Carriages 0..d-2 of ``a`` must be left-orthogonal, as :func:`tt_round`
+    and every call of this kernel leave them (the latter after
+    :func:`_tt_reversed`).  A left-to-right sweep extends them by the
+    directions of ``t`` they miss, so only ``t``'s block is orthogonalized;
+    the SVD sweep of :func:`tt_round`, run on the reversed train, then
+    truncates right to left at ``delta``.  The result is within
+    ``sqrt(d-1)*delta`` of ``a + t``, and its carriages 1..d-1 are
+    right-orthogonal.
+    """
+    gs, hs = _as_cores(a), _as_cores(t)
+    cores = []
+    # b: t's block of the current core after the transfer [[I, y], [0, r]]
+    # from the previous step; its first rows meet a's core, the rest are new
+    b = hs[0]
+    for g, h in zip(gs[:-1], hs[1:]):
+        rows, n, ra = b.shape[0], g.shape[1], g.shape[2]
+        ga = np.zeros((rows * n, ra))  # a's core, zero on the new rows
+        ga[:g.shape[0] * n] = g.reshape(-1, ra)
+        y, q, r = _orthogonal_extension(ga, b.reshape(rows * n, -1))
+        cores.append(np.hstack([ga, q]).reshape(rows, n, -1))
+        b = np.tensordot(np.vstack([y, r]), h, axes=([1], [0]))
+    b[:len(gs[-1])] += gs[-1]
+    cores.append(b)
+    rev = _svd_sweep([c.transpose(2, 1, 0) for c in reversed(cores)], delta)
+    return _from_cores([c.transpose(2, 1, 0) for c in reversed(rev)])
+
+
+def _orthogonal_extension(a: np.ndarray, b: np.ndarray):
+    """``(y, q, r)`` with ``b = a @ y + q @ r`` and ``[a | q]`` orthonormal, for orthonormal ``a``.
+
+    ``b`` is projected against ``a`` twice; the residual keeps its singular
+    directions above ``max(shape)*eps*||b||``, at most as many as ``a``
+    leaves room for, which are projected once more and orthonormalized.
+    So ``[a | q]`` is orthonormal to working precision even when ``b`` lies
+    numerically in ``span(a)`` or ``a`` fills its rows.
+    """
+    y = a.T @ b
+    res = b - a @ y
+    y2 = a.T @ res
+    res -= a @ y2
+    u, s, _ = np.linalg.svd(res, full_matrices=False)
+    tol = max(b.shape) * np.finfo(float).eps * np.linalg.norm(b)
+    k = min(int(np.sum(s > tol)), a.shape[0] - a.shape[1])
+    u = u[:, :k]
+    q, _ = np.linalg.qr(u - a @ (a.T @ u))
+    return y + y2, q, q.T @ b

@@ -1,5 +1,6 @@
 """Exponential-sum construction, evaluation and certified bounds."""
 
+import dataclasses
 import functools
 import math
 
@@ -119,6 +120,10 @@ class TestSelectParams:
             ExpSumParams(p.alpha, p.eps, p.d, p.h * 1.01, p.n_minus, p.n_plus, p.beta)
         with pytest.raises(ValueError):
             ExpSumParams(p.alpha, p.eps, p.d * 2.0, p.h, p.n_minus, p.n_plus, p.beta)
+        # beta enters the n_plus minimum as a divisor and under a fractional power
+        for beta in (0.0, -0.5):
+            with pytest.raises(ValueError, match="beta must be finite and positive"):
+                dataclasses.replace(select_params(0.5, 1e-6), beta=beta)
         # t_{-190} = log1p(exp(-190))**4 underflows to 0 at h = 1
         d = math.pi * 0.25 / 8.0
         with pytest.raises(ValueError, match="positive normal"):

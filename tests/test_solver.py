@@ -103,6 +103,13 @@ class TestSolveDense:
         x2, _ = solve_dense(KroneckerSum([s * a for a in factors]), c, es)
         np.testing.assert_allclose(x2, s**-0.3 * x1, rtol=1e-11)
 
+    def test_memory_cap(self):
+        ks = KroneckerSum([np.eye(8)] * 3)
+        with pytest.raises(MemoryCapError):
+            solve_dense(ks, np.zeros((8, 8, 8)), make_es(), memory_cap=100)
+        x, _ = solve_dense(ks, np.zeros((8, 8, 8)), make_es(), memory_cap=512)
+        assert x.shape == (8, 8, 8)
+
 
 class TestSolveCP:
     def test_rank_is_terms_times_rank(self):

@@ -7,6 +7,10 @@ from fracsum.tensors import (
     CPTensor,
     TTTensor,
     TuckerTensor,
+    _as_cores,
+    _orthogonal_extension,
+    _tt_add_round,
+    _tt_reversed,
     cp_als,
     fold,
     hosvd,
@@ -289,6 +293,91 @@ class TestTTRound:
         t = tt_svd(x, tol=1e-1)
         r = tt_round(t, 0.0)
         assert all(a <= b for a, b in zip(r.ranks, t.ranks))
+
+
+def rand_tt(shape, ranks, seed=0):
+    """A train with standard normal carriages of the given ranks."""
+    rng = np.random.default_rng(seed)
+    rs = (1, *ranks, 1)
+    cores = [rng.standard_normal((rs[i], n, rs[i + 1])) for i, n in enumerate(shape)]
+    return TTTensor((cores[0][0], *cores[1:-1], cores[-1][..., 0]))
+
+
+def orthonormality_defect(m):
+    """``max|M^T M - I|`` for the columns of ``m``."""
+    return np.max(np.abs(m.T @ m - np.eye(m.shape[1])), initial=0.0)
+
+
+class TestOrthogonalExtension:
+    @pytest.mark.parametrize("case", ["generic", "in_span", "fills_rows", "tiny"])
+    def test_extension_is_orthonormal_and_exact(self, case):
+        rows, cols = (12, 12) if case == "fills_rows" else (12, 5)
+        a = random_orthonormal(rows, cols, 1)
+        b = rand((rows, 3), 2)
+        if case == "in_span":
+            b = a @ rand((cols, 3), 3)
+        elif case == "tiny":
+            b = 1e-14 * b
+        y, q, r = _orthogonal_extension(a, b)
+        assert orthonormality_defect(np.hstack([a, q])) <= 1e-13
+        assert np.linalg.norm(a @ y + q @ r - b) <= 1e-13 * np.linalg.norm(b)
+        assert q.shape[1] == (0 if case in ("in_span", "fills_rows") else 3)
+
+
+class TestTTAddRound:
+    def check(self, a, t, delta):
+        """Round ``a + t`` and check its accuracy and right-orthogonality."""
+        s = _tt_add_round(a, t, delta)
+        exact = a.to_dense() + t.to_dense()
+        err = np.linalg.norm(s.to_dense() - exact)
+        assert err <= np.sqrt(a.ndim - 1) * delta + 1e-13 * np.linalg.norm(exact)
+        for core in _as_cores(s)[1:]:
+            assert orthonormality_defect(core.reshape(core.shape[0], -1).T) <= 1e-13
+        return s
+
+    @pytest.mark.parametrize("rel_delta", [0.0, 1e-8, 1e-1])
+    def test_generic_four_way(self, rel_delta):
+        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 1), 0.0)
+        t = rand_tt((4, 5, 3, 4), (2, 2, 2), 2)
+        delta = rel_delta * np.linalg.norm(a.to_dense() + t.to_dense())
+        s = self.check(a, t, delta)
+        assert all(r <= ra + rt for r, ra, rt in zip(s.ranks, a.ranks, t.ranks))
+
+    def test_full_ranks_at_the_boundary(self):
+        a = tt_round(tt_svd(rand((3, 3, 3, 3), 3), tol=0.0), 0.0)
+        t = tt_svd(rand((3, 3, 3, 3), 4), tol=0.0)
+        assert a.ranks == t.ranks == (3, 9, 3)
+        assert self.check(a, t, 0.0).ranks == (3, 9, 3)
+
+    def test_multiple_of_the_accumulator_keeps_its_ranks(self):
+        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 5), 0.0)
+        # the same tensor times -0.3, in another gauge
+        g = rand((2, 2), 6) + 3.0 * np.eye(2)
+        first, second, *rest = a.carriages
+        t = TTTensor((-0.3 * first @ g, np.tensordot(np.linalg.inv(g), second, axes=1), *rest))
+        assert self.check(a, t, 0.0).ranks == a.ranks
+
+    def test_tiny_term(self):
+        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 7), 0.0)
+        t = TTTensor((1e-14 * c if i == 0 else c for i, c in enumerate(rand_tt((4, 5, 3, 4), (2, 2, 2), 8).carriages)))
+        self.check(a, t, 0.0)
+        assert self.check(a, t, 1e-12 * np.linalg.norm(a.to_dense())).ranks == a.ranks
+
+    def test_two_modes(self):
+        a = tt_round(rand_tt((5, 6), (3,), 9), 0.0)
+        t = rand_tt((5, 6), (2,), 10)
+        assert self.check(a, t, 0.0).ranks == (5,)
+
+    def test_reversed_result_is_left_orthogonal_for_the_next_sum(self):
+        shape = (4, 5, 3, 4)
+        acc = tt_round(rand_tt(shape, (2, 2, 2), 11), 0.0)
+        total = acc.to_dense()
+        for k in range(4):
+            t = rand_tt(shape, (1, 2, 1), 12 + k)
+            total = total + t.to_dense()
+            # acc holds the modes reversed after every odd number of sums
+            acc = _tt_reversed(self.check(acc, _tt_reversed(t) if k % 2 else t, 0.0))
+        np.testing.assert_allclose(acc.to_dense(), total, atol=1e-12 * np.linalg.norm(total))
 
 
 class TestRankSubadditivity:
