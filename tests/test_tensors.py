@@ -7,6 +7,7 @@ from fracsum.tensors import (
     CPTensor,
     TTTensor,
     TuckerTensor,
+    _as_cores,
     _cp_to_tt,
     _tt_hadamard_round,
     cp_als,
@@ -299,6 +300,55 @@ def rand_tt(shape, ranks, seed=0):
     rs = (1, *ranks, 1)
     cores = [rng.standard_normal((rs[i], n, rs[i + 1])) for i, n in enumerate(shape)]
     return TTTensor((cores[0][0], *cores[1:-1], cores[-1][..., 0]))
+
+
+def orthonormality_defect(m):
+    """``max|M^T M - I|`` for the columns of ``m``."""
+    return np.max(np.abs(m.T @ m - np.eye(m.shape[1])), initial=0.0)
+
+
+class TestTTAddRound:
+    def check(self, a, t, tol):
+        """Round ``a + t`` and check its accuracy and left-orthogonality."""
+        s = tt_round(tt_add(a, t), tol)
+        exact = a.to_dense() + t.to_dense()
+        err = np.linalg.norm(s.to_dense() - exact)
+        assert err <= (tol + 1e-13) * np.linalg.norm(exact)
+        for core in _as_cores(s)[:-1]:
+            assert orthonormality_defect(core.reshape(-1, core.shape[2])) <= 1e-13
+        return s
+
+    @pytest.mark.parametrize("rel_delta", [0.0, 1e-8, 1e-1])
+    def test_generic_four_way(self, rel_delta):
+        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 1), 0.0)
+        t = rand_tt((4, 5, 3, 4), (2, 2, 2), 2)
+        s = self.check(a, t, rel_delta)
+        assert all(r <= ra + rt for r, ra, rt in zip(s.ranks, a.ranks, t.ranks))
+
+    def test_full_ranks_at_the_boundary(self):
+        a = tt_round(tt_svd(rand((3, 3, 3, 3), 3), tol=0.0), 0.0)
+        t = tt_svd(rand((3, 3, 3, 3), 4), tol=0.0)
+        assert a.ranks == t.ranks == (3, 9, 3)
+        assert self.check(a, t, 0.0).ranks == (3, 9, 3)
+
+    def test_multiple_of_the_accumulator_keeps_its_ranks(self):
+        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 5), 0.0)
+        # the same tensor times -0.3, in another gauge
+        g = rand((2, 2), 6) + 3.0 * np.eye(2)
+        first, second, *rest = a.carriages
+        t = TTTensor((-0.3 * first @ g, np.tensordot(np.linalg.inv(g), second, axes=1), *rest))
+        assert self.check(a, t, 0.0).ranks == a.ranks
+
+    def test_tiny_term(self):
+        a = tt_round(rand_tt((4, 5, 3, 4), (2, 3, 2), 7), 0.0)
+        t = TTTensor((1e-14 * c if i == 0 else c for i, c in enumerate(rand_tt((4, 5, 3, 4), (2, 2, 2), 8).carriages)))
+        self.check(a, t, 0.0)
+        assert self.check(a, t, 1e-12).ranks == a.ranks
+
+    def test_two_modes(self):
+        a = tt_round(rand_tt((5, 6), (3,), 9), 0.0)
+        t = rand_tt((5, 6), (2,), 10)
+        assert self.check(a, t, 0.0).ranks == (5,)
 
 
 class TestCPToTT:
