@@ -240,7 +240,7 @@ def _truncation_minima(alpha: float, d: float, h: float, beta: float):
     return 2.0 * math.pi * d / h**2, (2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / beta) ** alpha
 
 
-def params_for_terms(alpha: float, n_terms: int, d: float | None = None) -> ExpSumParams:
+def params_for_terms(alpha: float, n_terms: int) -> ExpSumParams:
     """Choose certified parameters whose sum has exactly ``n_terms`` terms.
 
     The accuracy target is pushed as low as the term budget allows; when the
@@ -254,8 +254,7 @@ def params_for_terms(alpha: float, n_terms: int, d: float | None = None) -> ExpS
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if n_terms < 3:
         raise ValueError(f"n_terms must be at least 3, got {n_terms}")
-    if d is None:
-        d = math.pi * alpha / 8.0
+    d = math.pi * alpha / 8.0
 
     def total(log_inv_eps: float) -> int:
         _, _, n_minus, n_plus = _certified_counts(alpha, d, log_inv_eps)

@@ -106,12 +106,7 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
 
     # inv_linear
     if total <= memory_cap:
-        s = np.zeros([g.n for g in grids])
-        for i, p in enumerate(points):
-            shape = [1] * spec.d
-            shape[i] = len(p)
-            s = s + p.reshape(shape)
-        return 1.0 / (1.0 + s)
+        return 1.0 / (1.0 + sum(_broadcast_coords(points)))
     return _inv_linear_tt(grids)
 
 

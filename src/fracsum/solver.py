@@ -41,11 +41,9 @@ from .tensors import (
     CPTensor,
     TTTensor,
     TuckerTensor,
-    _cp_hadamard,
     _cp_to_tt,
     _khatri_rao,
     _tt_hadamard_round,
-    hosvd,
     mode_product,
     multi_mode_product,
     tt_mode_product,
@@ -270,13 +268,12 @@ def _cp_norm(c: CPTensor) -> float:
     return float(np.sqrt(max(np.sum(gram), 0.0)))
 
 
-def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum, truncate_tol: float | None = None):
+def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     """Inverse fractional power of a Tucker right-hand side.
 
     The stacked per-term factors are re-orthogonalized by QR, so the result
     is a valid Tucker tensor with multilinear ranks at most
-    ``min(n_terms * rank_i, n_i)``; pass ``truncate_tol`` to recompress the
-    core with a final truncated HOSVD.
+    ``min(n_terms * rank_i, n_i)``.
 
     The new core ``sum_j w_j * C x_1 R_1j ... x_d R_dj`` (``R_ij``: blocks of
     the triangular factors) is contracted ``r'_d // r_d`` terms at a time, so
@@ -301,11 +298,7 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum, truncate_tol: fl
             x = m.reshape(x.shape[:1] + x.shape[2:] + (len(b),))
         last = r_blocks[-1][:, terms].transpose(1, 2, 0).reshape(-1, ranks[-1])
         core += x.reshape(len(last), -1).T @ last
-    core = core.reshape(ranks)
-    result = TuckerTensor(core=core, factors=qs)
-    if truncate_tol is not None:
-        inner = hosvd(core, tol=truncate_tol)
-        result = TuckerTensor(core=inner.core, factors=tuple(qi @ vi for qi, vi in zip(qs, inner.factors)))
+    result = TuckerTensor(core=core.reshape(ranks), factors=qs)
     # the factors are orthonormal, so the core carries the norm
     return result, _report(ks, es, start, float(np.linalg.norm(c.core)), ranks=result.ranks)
 
@@ -318,41 +311,38 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     CP tensor of the sum, a train with diagonal carriages; the carriages of
     ``c`` are rotated once, multiplied by it, and the product is rotated back.
 
-    With a positive ``round_tol`` (and ``c != 0``) the report's
-    ``error_bound`` adds the allowance ``(n_terms - 1) * round_tol * ||c||_F``
-    to the certified quadrature bound, and the solve spends it in two
-    roundings at absolute per-step thresholds, each worth half of it:
+    The report's ``error_bound`` adds the allowance
+    ``(n_terms - 1) * round_tol * ||c||_F`` to the certified quadrature
+    bound, and the solve spends it in two roundings at absolute per-step
+    thresholds, each worth half of it:
 
     * ``F`` is rounded once to a train ``F_delta`` within
-      ``allowance / (2 ||c||)`` of it in the Frobenius norm; its error ``E``
-      meets ``c~`` entrywise, so it moves the product by at most
+      ``(n_terms - 1) * round_tol / 2`` of it in the Frobenius norm; its
+      error ``E`` meets ``c~`` entrywise, so it moves the product by at most
       ``max|E| * ||c|| <= ||E||_F * ||c||``;
     * the product ``F_delta * c~`` is rounded once, within ``allowance / 2``
       of it, without ever forming its carriages whole.
 
     Rounding commutes with the orthogonal rotations, so the two add up to the
     allowance.  The ranks of the result are certified:
-    ``ranks(x) <= ranks(F_delta) * ranks(c)``, entry by entry.  With
-    ``round_tol`` zero (or one term, or ``c = 0``) there is no rounding at
-    all: the terms sit in diagonal blocks, as :func:`fracsum.tensors.tt_add`
-    lays out their sum, and the ranks are ``n_terms * ranks(c)``.
+    ``ranks(x) <= ranks(F_delta) * ranks(c)``, entry by entry, and no rank
+    exceeds that of the matching unfolding.  With ``round_tol`` zero (or one
+    term) the allowance is zero and both roundings cut only singular values
+    below their noise floor; that cut, like any other floating-point
+    rounding, is outside ``error_bound``.
     """
     ks._check_shape(c.shape)
     if round_tol < 0.0:
         raise ValueError("round_tol must be nonnegative")
     start = time.perf_counter()
-    decays = _decays(ks, es)
-    weights = _scaled_weights(ks, es)
     cnorm = tt_norm(c)
     qs = [q for _, q in ks.spectra]
     rotated = _tt_mode_products(c, [q.T for q in qs])
-    allowance = (es.n_terms - 1) * round_tol * cnorm
-    if allowance == 0.0:
-        x = _cp_hadamard(decays, weights, rotated)
-    else:
-        delta = 0.5 * allowance / math.sqrt(c.ndim - 1)
-        x = _tt_hadamard_round(_cp_to_tt(decays, weights, delta / cnorm), rotated, delta)
+    # per-step threshold of the filter; times ||c||, that of the product
+    delta = 0.5 * (es.n_terms - 1) * round_tol / math.sqrt(c.ndim - 1)
+    x = _tt_hadamard_round(_cp_to_tt(_decays(ks, es), _scaled_weights(ks, es), delta), rotated, delta * cnorm)
     x = _tt_mode_products(x, qs)
+    allowance = (es.n_terms - 1) * round_tol * cnorm
     return x, _report(ks, es, start, cnorm, ranks=x.ranks, allowance=allowance)
 
 

@@ -16,13 +16,15 @@ Formats:
 * :class:`TTTensor` -- tensor train; boundary carriages are matrices, the
   inner ones order-3 arrays.
 
-:func:`tt_round` recompresses a train by orthogonalization and one SVD
-truncation sweep.  Two private kernels round a train whose carriages are
-never formed whole, at an absolute threshold per step: ``_cp_to_tt`` turns a
-CP tensor (a train with diagonal carriages) into a compressed train, and
-``_tt_hadamard_round`` rounds the entrywise product of two trains.  Both run
-the two sweeps of ``_sweep_round``, which keeps only the triangular factors
-of the right parts.
+Every train is rounded by the two sweeps of ``_sweep_round``, which sees
+the carriages only through contractions and keeps only the triangular
+factors of the right parts: :func:`tt_round` rounds a train's own carriages
+at a threshold relative to its norm, ``_cp_to_tt`` turns a CP tensor (a
+train with diagonal carriages) into a compressed train, and
+``_tt_hadamard_round`` rounds the entrywise product of two trains, both at
+an absolute threshold per step.  With a zero threshold only singular values
+below a step's noise floor are cut.  :func:`tt_svd` factorizes a dense
+tensor.
 """
 
 from __future__ import annotations
@@ -505,38 +507,23 @@ def tt_norm(x: TTTensor) -> float:
 
 
 def tt_round(x: TTTensor, tol: float) -> TTTensor:
-    """Recompress a train; ranks never increase.
+    """Recompress a train so that its relative error stays within ``tol``; ranks never increase.
 
-    Right-to-left orthogonalization followed by a left-to-right SVD sweep
-    with per-step threshold ``tol*||x||/sqrt(d-1)``, so the relative error of
-    the rounded train stays within ``tol``.
+    The two sweeps of :func:`_sweep_round` run over the train's own
+    carriages at the per-step threshold ``tol*||x||/sqrt(d-1)``.  ``||x||``
+    is read off the first truncation step, whose singular values are those
+    of the first unfolding, so no separate norm sweep runs.  With ``tol``
+    zero only singular values below the noise floor
+    ``len(s)*eps*s[0]`` of a step are cut.
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     cores = _as_cores(x)
-    d = len(cores)
-    # right-to-left: make cores 1..d-1 right-orthogonal
-    for j in range(d - 1, 0, -1):
-        r0, n, r1 = cores[j].shape
-        m = cores[j].reshape(r0, n * r1)
-        q, r = np.linalg.qr(m.T)
-        rank = q.shape[1]
-        cores[j] = q.T.reshape(rank, n, r1)
-        cores[j - 1] = np.tensordot(cores[j - 1], r.T, axes=([2], [0]))
-    norm = np.linalg.norm(cores[0])
-    delta = tol * norm / math.sqrt(max(d - 1, 1))
-    # left-to-right truncation sweep
-    for j in range(d - 1):
-        r0, n, r1 = cores[j].shape
-        u, s, vt = np.linalg.svd(cores[j].reshape(r0 * n, r1), full_matrices=False)
-        r = _truncation_rank(s, delta)
-        cores[j] = u[:, :r].reshape(r0, n, r)
-        m = s[:r, None] * vt[:r]
-        cores[j + 1] = np.tensordot(m, cores[j + 1], axes=([1], [0]))
-    return _from_cores(cores)
+    delta = tol / math.sqrt(x.ndim - 1)
+    return _round_cores(lambda k, rows: cores[k][:, rows], x.shape, delta, relative=True)
 
 
-def _sweep_round(left, right, shape, z, t, delta: float, block: int) -> TTTensor:
+def _sweep_round(left, right, shape, z, t, delta: float, block: int, relative: bool = False) -> TTTensor:
     """Round a train known only through its carriages' contractions, at ``delta`` per step.
 
     ``left(k, m, rows)`` contracts the left rank of carriage ``k`` (an
@@ -557,7 +544,13 @@ def _sweep_round(left, right, shape, z, t, delta: float, block: int) -> TTTensor
     basis kept so far; truncating them at ``delta`` gives carriage ``k`` as
     ``U`` and the next carry ``U^T M_k``.  The errors of the steps are
     mutually orthogonal, so the result is within ``sqrt(d-1)*delta`` of the
-    train in the Frobenius norm.
+    train in the Frobenius norm.  With ``relative`` the threshold is
+    ``delta*||x||`` instead: the first step's singular values are those of
+    the first unfolding, so their norm is ``||x||`` exactly.
+
+    With a zero threshold a step cuts only singular values below its noise
+    floor ``len(s)*eps*s[0]`` (see :func:`_truncation_rank`); that cut, like
+    any other floating-point rounding, is not counted in the bound above.
     """
     d = len(shape)
     ts = [None] * d + [t]  # ts[k]: the R factor of the right part from carriage k on
@@ -575,12 +568,32 @@ def _sweep_round(left, right, shape, z, t, delta: float, block: int) -> TTTensor
         m = carry(k, z)
         m = m.reshape(-1, m.shape[2])
         u, s, _ = np.linalg.svd(m @ ts[k + 1].T, full_matrices=False)
+        if relative and k == 0:
+            delta *= float(np.linalg.norm(s))
         # a copy, so that the discarded columns are freed at once
         u = u[:, :_truncation_rank(s, delta)].copy()
         cores.append(u.reshape(len(z), shape[k], -1))
         z = u.T @ m
     cores.append((carry(d - 1, z) @ t[0])[:, :, None])
     return _from_cores(cores)
+
+
+def _round_cores(core, shape, delta: float, relative: bool = False) -> TTTensor:
+    """:func:`_sweep_round` for a train with unit boundary ranks whose carriage ``k`` is ``core(k, rows)``.
+
+    ``core(k, rows)`` is carriage ``k`` as an order-3 array (see
+    :func:`_as_cores`), restricted to the mode indices ``rows``; it is asked
+    for four mode indices at a time.
+    """
+
+    def left(k, m, rows):
+        return np.tensordot(m, core(k, rows), axes=1)
+
+    def right(k, m, rows):
+        return np.tensordot(m, core(k, rows), axes=([1], [2])).transpose(0, 2, 1)
+
+    one = np.ones((1, 1))
+    return _sweep_round(left, right, shape, one, one, delta, block=4, relative=relative)
 
 
 def _cp_to_tt(factors, weights, delta: float) -> TTTensor:
@@ -619,36 +632,4 @@ def _tt_hadamard_round(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     ga, gb = _as_cores(a), _as_cores(b)
-
-    def core(k, rows):
-        return _face_split(ga[k][:, rows], gb[k][:, rows])
-
-    def left(k, m, rows):
-        return np.tensordot(m, core(k, rows), axes=1)
-
-    def right(k, m, rows):
-        return np.tensordot(m, core(k, rows), axes=([1], [2])).transpose(0, 2, 1)
-
-    one = np.ones((1, 1))
-    return _sweep_round(left, right, a.shape, one, one, delta, block=4)
-
-
-def _cp_hadamard(factors, weights, x: TTTensor) -> TTTensor:
-    """The entrywise product of the CP tensor ``sum_j w_j * outer_i factors[i][:, j]`` with ``x``, unrounded.
-
-    Term ``j`` is ``x`` with carriage ``i`` scaled along its mode index by
-    ``factors[i][:, j]`` (the first also by ``w_j``); the terms sit in
-    diagonal blocks, as :func:`tt_add` lays out their sum, so each rank is
-    ``N`` times that of ``x``.
-    """
-    n_terms = len(weights)
-    first, *inner, last = x.carriages
-    terms = np.arange(n_terms)
-    cars = [((factors[0] * weights)[:, :, None] * first[:, None, :]).reshape(len(first), -1)]
-    for f, car in zip(factors[1:-1], inner):
-        r0, n, r1 = car.shape
-        blocks = np.zeros((n_terms, r0, n, n_terms, r1))
-        blocks[terms, :, :, terms, :] = car * f.T[:, None, :, None]
-        cars.append(blocks.reshape(n_terms * r0, n, n_terms * r1))
-    cars.append((last * factors[-1].T[:, None, :]).reshape(-1, last.shape[1]))
-    return TTTensor(tuple(cars))
+    return _round_cores(lambda k, rows: _face_split(ga[k][:, rows], gb[k][:, rows]), a.shape, delta)

@@ -183,27 +183,31 @@ class TestTTHighD:
         assert run(["tt-highd", "--d", 4, "--alpha", 1.5, "--out", tmp_path / "x.dat"]) == 2
 
 
+def _package_env(**extra):
+    """The environment with the import path of the running suite, so a subprocess imports the package under test."""
+    env = {**os.environ, **extra}
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(fracsum.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "fracsum.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "fracsum.cli", "--help"], capture_output=True, text=True, env=_package_env()
         )
         assert proc.returncode == 0
         assert "expsum-convergence" in proc.stdout
 
     def test_unknown_flag_exits_two(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "fracsum.cli", "poisson", "--bogus"], capture_output=True, text=True
+            [sys.executable, "-m", "fracsum.cli", "poisson", "--bogus"], capture_output=True, text=True, env=_package_env()
         )
         assert proc.returncode == 2
 
     def test_thread_cap_env(self):
-        # inherit the import path of the running suite, but not thread
-        # variables that would pre-empt the cap
-        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-        env["FRACSUM_THREADS"] = "2"
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(fracsum.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        # drop thread variables that would pre-empt the cap
+        env = {k: v for k, v in _package_env(FRACSUM_THREADS="2").items() if k not in THREAD_VARS}
         proc = subprocess.run(
             [sys.executable, "-c", "import os; import fracsum; print(os.environ['OMP_NUM_THREADS'])"],
             capture_output=True,

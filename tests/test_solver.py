@@ -182,21 +182,6 @@ class TestSolveTucker:
         x_dense, _ = solve_dense(ks, c_dense, es)
         assert np.linalg.norm(x.to_dense() - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
-    def test_post_truncation_shrinks_ranks(self):
-        rng = np.random.default_rng(11)
-        ks = KroneckerSum([laplacian_1d(12)] * 3)
-        c = hosvd(
-            sample_rhs(RhsSpec(kind="random_rank1", d=3, seed=0), [Grid1D(12)] * 3).to_dense(),
-            tol=1e-13,
-        )
-        es = make_es(0.5, 1e-6)
-        raw, _ = solve_tucker(ks, c, es)
-        compressed, _ = solve_tucker(ks, c, es, truncate_tol=1e-10)
-        assert all(a <= b for a, b in zip(compressed.ranks, raw.ranks))
-        assert max(compressed.ranks) < es.n_terms  # far below the worst-case growth
-        diff = np.linalg.norm(compressed.to_dense() - raw.to_dense())
-        assert diff <= 1e-9 * np.linalg.norm(raw.to_dense())
-
 
 class TestSolveTT:
     def test_unrounded_rank_growth_bound(self):
@@ -217,6 +202,26 @@ class TestSolveTT:
         x, _ = solve_tt(ks, c, es, round_tol=0.0)
         x_dense, _ = solve_dense(ks, c_dense, es)
         assert np.linalg.norm(x.to_dense() - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
+
+    def test_exact_solve_keeps_unfolding_ranks_and_bound(self):
+        # round_tol = 0 cuts only singular values below the noise floor, so a
+        # full-rank c leaves every rank at that of the matching unfolding
+        shape = (3, 4, 4, 3)
+        rng = np.random.default_rng(17)
+        ks = KroneckerSum([random_spd(rng, n) for n in shape])
+        c_dense = rng.standard_normal(shape)
+        x, report = solve_tt(ks, tt_svd(c_dense, tol=0.0), best_expsum(0.5, 200), round_tol=0.0)
+        unfoldings = [min(np.prod(shape[:k]), np.prod(shape[k:])) for k in range(1, len(shape))]
+        assert all(r <= b for r, b in zip(x.ranks, unfoldings))
+        assert np.linalg.norm(x.to_dense() - oracle_apply(ks, c_dense, 0.5)) <= report.error_bound
+
+    @pytest.mark.parametrize("round_tol", [0.0, 1e-12])
+    def test_zero_right_hand_side(self, round_tol):
+        ks = KroneckerSum([laplacian_1d(5)] * 3)
+        x, report = solve_tt(ks, tt_svd(np.zeros((5, 5, 5)), tol=0.0), make_es(0.5, 1e-6), round_tol=round_tol)
+        assert not np.any(x.to_dense())
+        assert report.error_bound == 0.0
+        assert x.ranks == (1, 1)
 
     def test_rounded_solve_stays_within_reported_bound(self):
         rng = np.random.default_rng(14)
