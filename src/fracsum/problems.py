@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import DEFAULT_MEMORY_CAP, MemoryCapError
-from .tensors import CPTensor, TTTensor, tt_round
+from .tensors import DEFAULT_MEMORY_CAP, CPTensor, TTTensor, _check_memory, tt_round
 
 __all__ = ["Grid1D", "RhsSpec", "RHS_KINDS", "laplacian_1d", "sample_rhs"]
 
@@ -100,8 +99,7 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
         return CPTensor.from_rank1([rng.standard_normal(g.n) for g in grids])
 
     if spec.kind == "custom":
-        if total > memory_cap:
-            raise MemoryCapError(f"custom rhs needs {total} dense entries, cap is {memory_cap}")
+        _check_memory(total, memory_cap, "custom rhs")
         return np.asarray(spec.fn(*_broadcast_coords(points)), dtype=float)
 
     # inv_linear

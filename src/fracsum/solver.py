@@ -14,17 +14,19 @@ kernel: rotate into the joint eigenbasis ``Q = Q_1 (x) ... (x) Q_d``, multiply
 by a diagonal filter on the lattice of eigenvalue sums, rotate back.  For the
 sum the filter is the rank-N CP tensor
 
-    F = lambda_min**(-alpha) * sum_j w_j * outer_i exp(-t_j * Lambda_i / lambda_min);
+    F = lambda_min**(-alpha) * sum_j w_j * outer_i exp(-t_j * Lambda_i / lambda_min),
 
-the exact reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)``
-and :func:`exp_kron_apply` uses ``F = exp(t * sum_i Lambda_i)``.  Dense
-tensors are rotated by :func:`fracsum.tensors.multi_mode_product`.  CP and
-Tucker factors are rotated once, scaled term by term along their mode index,
-and rotated back; tensor-train carriages are rotated once, multiplied
-entrywise by the filter written as a train, and rotated back.  So the
-construction maps verbatim onto those formats and yields the rank growth
-certificates checked in the test suite.  All paths share one weight scaling
-and one report builder.
+built once per solve as a :class:`fracsum.tensors.CPTensor` whose mode-0
+factor carries the scaled weights ``lambda_min**(-alpha) * w_j``; the exact
+reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)`` and
+:func:`exp_kron_apply` uses ``F = exp(t * sum_i Lambda_i)``.  Every path takes
+that one ``F``: dense tensors are rotated by
+:func:`fracsum.tensors.multi_mode_product` around ``F`` densified; CP and
+Tucker factors are rotated once, scaled term by term along their mode index
+by the factors of ``F``, and rotated back; tensor-train carriages are rotated
+once, multiplied entrywise by ``F`` written as a train, and rotated back.  So
+the construction maps verbatim onto those formats and yields the rank growth
+certificates checked in the test suite.  All paths share one report builder.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ import numpy as np
 
 from .expsum import ExpSum, certified_bound
 from .tensors import (
+    DEFAULT_MEMORY_CAP,
     CPTensor,
+    MemoryCapError,
     TTTensor,
     TuckerTensor,
+    _check_memory,
     _cp_to_tt,
-    _khatri_rao,
     _tt_hadamard_round,
     mode_product,
     multi_mode_product,
@@ -63,13 +67,6 @@ __all__ = [
     "solve_tt",
     "solve_tucker",
 ]
-
-DEFAULT_MEMORY_CAP = 2**27  # dense-path guard, in tensor entries
-
-
-class MemoryCapError(RuntimeError):
-    """Raised when a dense code path would allocate too many entries."""
-
 
 class KroneckerSum:
     """Ordered symmetric positive definite factors of a Kronecker sum.
@@ -141,8 +138,10 @@ class SolveReport:
     ``lambda_min**(-alpha) * certified_bound(es) * ||c||_F`` plus, for
     the train path, the recompression allowance.  It takes the factors'
     eigendecompositions as exact: their backward error, ``O(u*||A_i||)`` per
-    factor for the unit roundoff ``u``, is outside the bound.  ``ranks`` is
-    the format-specific rank vector of the result (empty for dense results).
+    factor for the unit roundoff ``u``, is outside the bound.  ``wall_time``
+    does not include that eigendecomposition, which runs once per operator.
+    ``ranks`` is the format-specific rank vector of the result (empty for
+    dense results).
     """
 
     n_terms: int
@@ -161,9 +160,10 @@ def _scale(ks: KroneckerSum, es: ExpSum) -> float:
     return ks.lambda_min ** (-es.params.alpha)
 
 
-def _scaled_weights(ks: KroneckerSum, es: ExpSum) -> np.ndarray:
-    """The sum's weights times ``lambda_min**(-alpha)``."""
-    return _scale(ks, es) * es.weights
+def _start(ks: KroneckerSum) -> float:
+    """The clock of a solve, read after the lazy eigendecomposition so that ``wall_time`` excludes it."""
+    ks.spectra
+    return time.perf_counter()
 
 
 def _report(ks: KroneckerSum, es: ExpSum, start: float, cnorm: float, ranks=(), allowance: float = 0.0) -> SolveReport:
@@ -177,30 +177,16 @@ def _report(ks: KroneckerSum, es: ExpSum, start: float, cnorm: float, ranks=(), 
     )
 
 
-def _check_memory(c: np.ndarray, memory_cap: int, path: str) -> None:
-    """Raise :class:`MemoryCapError` when a dense path on ``c`` would exceed ``memory_cap`` entries."""
-    if c.size > memory_cap:
-        raise MemoryCapError(f"{path} needs {c.size} entries, cap is {memory_cap}")
+def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
+    """The filter ``lambda_min**(-alpha) * sum_j w_j * outer_i exp(-t_j * Lambda_i / lambda_min)``.
 
-
-def _decays(ks: KroneckerSum, es: ExpSum) -> list:
-    """Per mode, the ``n_i x N`` matrix ``exp(-t_j * lam_i / lambda_min)``."""
-    lam_min = ks.lambda_min
-    return [np.exp(-np.outer(lam / lam_min, es.exponents)) for lam, _ in ks.spectra]
-
-
-def _sum_filter(weights: np.ndarray, decays) -> np.ndarray:
-    """The rank-N CP tensor ``sum_j w_j * outer_i decays[i][:, j]``, densified by one GEMM.
-
-    The Khatri-Rao products of the leading and the trailing half of the
-    modes, each over its modes in reverse so that its rows run in C order,
-    meet in one matrix product; no ``prod(n) x N`` array is formed.
+    Factor ``i`` is the ``n_i x N`` matrix ``exp(-t_j * Lambda_i / lambda_min)``;
+    the mode-0 factor also carries the scaled weights ``lambda_min**(-alpha) * w_j``.
     """
-    if len(decays) == 1:
-        return decays[0] @ weights
-    h = len(decays) // 2
-    lead, trail = _khatri_rao(decays[:h][::-1]), _khatri_rao(decays[h:][::-1])
-    return ((lead * weights) @ trail.T).reshape([len(m) for m in decays])
+    lam_min = ks.lambda_min
+    factors = [np.exp(-np.outer(lam / lam_min, es.exponents)) for lam, _ in ks.spectra]
+    factors[0] = factors[0] * (_scale(ks, es) * es.weights)
+    return CPTensor(tuple(factors))
 
 
 def _filter(ks: KroneckerSum, c: np.ndarray, filt: np.ndarray) -> np.ndarray:
@@ -217,8 +203,10 @@ def _eigenvalue_sums(ks: KroneckerSum) -> np.ndarray:
 def _stacked_factors(ks: KroneckerSum, decays, factors) -> list:
     """Per mode, ``[E_i1 U_i ... E_iN U_i]`` as one ``n_i x (N r)`` block.
 
-    ``U_i`` is rotated into the eigenbasis once; each term scales the rows of
-    the rotated factor, and the stack of all terms is rotated back at once.
+    ``E_ij`` is the diagonal of column ``j`` of ``decays[i]``, the filter's
+    factor ``i`` (see :func:`_sum_filter`).  ``U_i`` is rotated into the
+    eigenbasis once; each term scales the rows of the rotated factor, and the
+    stack of all terms is rotated back at once.
     """
     blocks = []
     for (_, q), decay, u in zip(ks.spectra, decays, factors):
@@ -239,9 +227,9 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = D
     """
     c = np.asarray(c, dtype=float)
     ks._check_shape(c.shape)
-    _check_memory(c, memory_cap, "dense solve")
-    start = time.perf_counter()
-    x = _filter(ks, c, _sum_filter(_scaled_weights(ks, es), _decays(ks, es)))
+    _check_memory(c.size, memory_cap, "dense solve")
+    start = _start(ks)
+    x = _filter(ks, c, _sum_filter(ks, es).to_dense())
     return x, _report(ks, es, start, float(np.linalg.norm(c)))
 
 
@@ -254,10 +242,8 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     recompression is attempted in this format).
     """
     ks._check_shape(c.shape)
-    start = time.perf_counter()
-    decays = _decays(ks, es)
-    decays[0] = decays[0] * _scaled_weights(ks, es)
-    result = CPTensor(tuple(_stacked_factors(ks, decays, c.factors)))
+    start = _start(ks)
+    result = CPTensor(tuple(_stacked_factors(ks, _sum_filter(ks, es).factors, c.factors)))
     return result, _report(ks, es, start, _cp_norm(c), ranks=(result.rank,))
 
 
@@ -275,23 +261,23 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     is a valid Tucker tensor with multilinear ranks at most
     ``min(n_terms * rank_i, n_i)``.
 
-    The new core ``sum_j w_j * C x_1 R_1j ... x_d R_dj`` (``R_ij``: blocks of
-    the triangular factors) is contracted ``r'_d // r_d`` terms at a time, so
-    no intermediate exceeds the core: modes 1..d-1 by products batched over
-    the terms, the last by one product that also sums them.
+    The new core ``sum_j C x_1 R_1j ... x_d R_dj`` (``R_ij``: blocks of the
+    triangular factors; the scaled weights sit in the mode-0 blocks) is
+    contracted ``r'_d // r_d`` terms at a time, so no intermediate exceeds
+    the core: modes 1..d-1 by products batched over the terms, the last by
+    one product that also sums them.
     """
     ks._check_shape(c.shape)
-    start = time.perf_counter()
-    qs, r_blocks = zip(*(np.linalg.qr(b) for b in _stacked_factors(ks, _decays(ks, es), c.factors)))
+    start = _start(ks)
+    qs, r_blocks = zip(*(np.linalg.qr(b) for b in _stacked_factors(ks, _sum_filter(ks, es).factors, c.factors)))
     # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
     r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
-    weights = _scaled_weights(ks, es)
     ranks = tuple(len(b) for b in r_blocks)
     chunk = max(1, ranks[-1] // c.ranks[-1])
     core = np.zeros((np.prod(ranks[:-1], dtype=int), ranks[-1]))
     for lo in range(0, es.n_terms, chunk):
-        terms = slice(lo, lo + chunk)
-        x = weights[terms].reshape((-1,) + (1,) * c.core.ndim) * c.core
+        terms = slice(lo, min(lo + chunk, es.n_terms))
+        x = np.broadcast_to(c.core, (terms.stop - lo,) + c.core.shape)
         for b in r_blocks[:-1]:
             # contract axis 1 with each term's block; its new index becomes the last axis
             m = np.matmul(x.reshape(*x.shape[:2], -1).transpose(0, 2, 1), b[:, terms].transpose(1, 2, 0))
@@ -334,13 +320,13 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     ks._check_shape(c.shape)
     if round_tol < 0.0:
         raise ValueError("round_tol must be nonnegative")
-    start = time.perf_counter()
+    start = _start(ks)
     cnorm = tt_norm(c)
     qs = [q for _, q in ks.spectra]
     rotated = _tt_mode_products(c, [q.T for q in qs])
     # per-step threshold of the filter; times ||c||, that of the product
     delta = 0.5 * (es.n_terms - 1) * round_tol / math.sqrt(c.ndim - 1)
-    x = _tt_hadamard_round(_cp_to_tt(_decays(ks, es), _scaled_weights(ks, es), delta), rotated, delta * cnorm)
+    x = _tt_hadamard_round(_cp_to_tt(_sum_filter(ks, es).factors, delta), rotated, delta * cnorm)
     x = _tt_mode_products(x, qs)
     allowance = (es.n_terms - 1) * round_tol * cnorm
     return x, _report(ks, es, start, cnorm, ranks=x.ranks, allowance=allowance)
@@ -365,7 +351,7 @@ def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int 
     ks._check_shape(c.shape)
     if alpha < 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    _check_memory(c, memory_cap, "dense oracle")
+    _check_memory(c.size, memory_cap, "dense oracle")
     return _filter(ks, c, _eigenvalue_sums(ks) ** (-alpha))
 
 

@@ -25,6 +25,9 @@ train with diagonal carriages) into a compressed train, and
 an absolute threshold per step.  With a zero threshold only singular values
 below a step's noise floor are cut.  :func:`tt_svd` factorizes a dense
 tensor.
+
+Every dense path that could outgrow memory, here and in the solver, raises
+:class:`MemoryCapError` before it forms more than ``memory_cap`` entries.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_MEMORY_CAP",
     "CPTensor",
+    "MemoryCapError",
     "TTTensor",
     "TuckerTensor",
     "cp_als",
@@ -54,6 +59,17 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+DEFAULT_MEMORY_CAP = 2**27  # guard of every dense path, in tensor entries
+
+
+class MemoryCapError(RuntimeError):
+    """Raised when a dense code path would allocate too many entries."""
+
+
+def _check_memory(entries: int, memory_cap: int, path: str) -> None:
+    """Raise :class:`MemoryCapError` when ``path`` would need more than ``memory_cap`` entries."""
+    if entries > memory_cap:
+        raise MemoryCapError(f"{path} needs {entries} entries, cap is {memory_cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +171,24 @@ class CPTensor:
         return cls(tuple(np.asarray(v, dtype=float).reshape(-1, 1) for v in vectors))
 
     def to_dense(self) -> np.ndarray:
-        """Densify with one small matrix product per index of the last mode.
+        """Densify with one matrix product.
 
-        Slice ``k`` of the last mode is ``(KR(lead) * last[k]) @ KR(rest)^T``
-        for the Khatri-Rao products of the leading half and the rest of the
-        other modes, so no ``prod(n[:-1]) x rank`` array is formed.
+        The Khatri-Rao products of the leading ``h = d // 2`` and the trailing
+        modes, each over its modes in reverse so that its rows run in C order,
+        meet in one GEMM.  The largest temporary is the trailing operand,
+        ``prod(n[h:]) x rank``; no ``prod(n) x rank`` array is formed.
         """
-        *others, last = self.factors
-        if not others:
-            return last.sum(axis=1)
-        h = max(1, len(others) // 2)
-        lead = _khatri_rao(others[:h])
-        rest = _khatri_rao(others[h:]) if others[h:] else np.ones((1, self.rank))
-        out = np.empty(self.shape)
-        for k, row in enumerate(last):
-            out[..., k] = ((lead * row) @ rest.T).reshape(self.shape[:-1], order="F")
-        return out
+        h = len(self.factors) // 2
+        lead = _khatri_rao(self.factors[:h][::-1]) if h else np.ones((1, self.rank))
+        return (lead @ _khatri_rao(self.factors[h:][::-1]).T).reshape(self.shape)
 
 
 def _khatri_rao(mats) -> np.ndarray:
     """Column-wise Kronecker product, first matrix's index fastest."""
     out = mats[0]
     for m in mats[1:]:
-        k = out.shape[1]
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, k, order="F")
+        # C order over (m's index, out's index) is out's index fastest, as a view
+        out = (m[:, None, :] * out[None, :, :]).reshape(-1, out.shape[1])
     return out
 
 
@@ -311,10 +321,11 @@ def hosvd(x: np.ndarray, ranks=None, tol: float | None = None) -> TuckerTensor:
     unfolding; the core is the tensor contracted with the transposed factors.
     Exactly one of ``ranks`` (per-mode cap, clipped to the mode extents) and
     ``tol`` must be given; in tolerance mode each mode keeps the smallest
-    rank whose discarded singular values satisfy
-    ``sum(sigma^2) <= (tol*||x||)^2 / d``, so the total reconstruction error
-    is at most ``tol*||x||``.  The squared reconstruction error never exceeds
-    the sum of squared discarded singular values over all modes.
+    rank whose discarded singular values have norm at most
+    ``tol*||x||/sqrt(d)`` (see :func:`_truncation_rank`), so the total
+    reconstruction error is at most ``tol*||x||``.  The squared
+    reconstruction error never exceeds the sum of squared discarded singular
+    values over all modes.
     """
     x = np.asarray(x, dtype=float)
     if (ranks is None) == (tol is None):
@@ -322,16 +333,13 @@ def hosvd(x: np.ndarray, ranks=None, tol: float | None = None) -> TuckerTensor:
     d = x.ndim
     if ranks is not None and np.isscalar(ranks):
         ranks = (int(ranks),) * d
-    budget_sq = None if tol is None else (tol * np.linalg.norm(x)) ** 2 / d
     factors = []
     for i in range(d):
         u, s, _ = np.linalg.svd(unfold(x, i), full_matrices=False)
         if ranks is not None:
             r = min(int(ranks[i]), x.shape[i], u.shape[1])
         else:
-            r = len(s)
-            while r > 1 and np.sum(s[r - 1:] ** 2) <= budget_sq:
-                r -= 1
+            r = _truncation_rank(s, tol * np.linalg.norm(x) / math.sqrt(d))
         factors.append(u[:, :r])
     core = multi_mode_product(x, [f.T for f in factors])
     return TuckerTensor(core=core, factors=tuple(factors))
@@ -383,7 +391,9 @@ class TTTensor:
         cars = self.carriages
         return (cars[0].shape[1],) + tuple(c.shape[2] for c in cars[1:-1])
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
+        """The dense tensor; raises :class:`MemoryCapError` first when it has more than ``memory_cap`` entries."""
+        _check_memory(math.prod(self.shape), memory_cap, "train densification")
         # Row-major pairing throughout: the accumulated rows enumerate the
         # leading indices with the most recent one fastest, which is exactly
         # the C-order layout of the final array.
@@ -523,26 +533,27 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
     return _round_cores(lambda k, rows: cores[k][:, rows], x.shape, delta, relative=True)
 
 
-def _sweep_round(left, right, shape, z, t, delta: float, block: int, relative: bool = False) -> TTTensor:
+def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = False) -> TTTensor:
     """Round a train known only through its carriages' contractions, at ``delta`` per step.
 
     ``left(k, m, rows)`` contracts the left rank of carriage ``k`` (an
     ``R x n_k x R'`` array, restricted to the mode indices ``rows``) with the
     columns of ``m``, giving ``(len(m), len(rows), R')``; ``right(k, m, rows)``
     contracts its right rank instead, giving ``(len(m), len(rows), R)``.  The
-    row ``z`` closes the train on the left of carriage 0, the row ``t`` on the
-    right of the last.  ``block`` mode indices are contracted at a time, so no
-    carriage is ever formed whole.
+    train is closed by ones: ``m`` is ``[[1]]`` at carriage 0's left rank and
+    the last one's right rank (broadcast where that rank exceeds one), and
+    the last carriage is summed over its right rank.  ``block`` mode indices
+    are contracted at a time, so no carriage is ever formed whole.
 
     Right to left, only the triangular factor ``T_k`` of each right part
-    (carriages ``k..d-1`` closed by ``t``, its left rank as columns) is kept:
+    (carriages ``k..d-1``, its left rank as columns) is kept:
     ``T_k`` is the R factor of the right contraction of ``T_{k+1}``,
     accumulated block by block as ``qr(vstack([T_k, block]))``.  Left to
-    right, ``M_k`` is the carry ``z`` contracted with carriage ``k``.  The
-    right part is ``T_{k+1}^T`` times orthonormal rows, so the singular values
-    of ``M_k T_{k+1}^T`` are exactly those of the unfolding against the
-    basis kept so far; truncating them at ``delta`` gives carriage ``k`` as
-    ``U`` and the next carry ``U^T M_k``.  The errors of the steps are
+    right, ``M_k`` is the carry ``Z_k`` (``[[1]]`` for ``k = 0``) contracted
+    with carriage ``k``.  The right part is ``T_{k+1}^T`` times orthonormal
+    rows, so the singular values of ``M_k T_{k+1}^T`` are exactly those of
+    the unfolding against the basis kept so far; truncating them at
+    ``delta`` gives carriage ``k`` as ``U`` and the next carry ``U^T M_k``.  The errors of the steps are
     mutually orthogonal, so the result is within ``sqrt(d-1)*delta`` of the
     train in the Frobenius norm.  With ``relative`` the threshold is
     ``delta*||x||`` instead: the first step's singular values are those of
@@ -553,7 +564,8 @@ def _sweep_round(left, right, shape, z, t, delta: float, block: int, relative: b
     any other floating-point rounding, is not counted in the bound above.
     """
     d = len(shape)
-    ts = [None] * d + [t]  # ts[k]: the R factor of the right part from carriage k on
+    z = one = np.ones((1, 1))
+    ts = [None] * d + [one]  # ts[k]: the R factor of the right part from carriage k on
     for k in range(d - 1, 0, -1):
         for lo in range(0, shape[k], block):
             w = right(k, ts[k + 1], slice(lo, lo + block))
@@ -574,7 +586,7 @@ def _sweep_round(left, right, shape, z, t, delta: float, block: int, relative: b
         u = u[:, :_truncation_rank(s, delta)].copy()
         cores.append(u.reshape(len(z), shape[k], -1))
         z = u.T @ m
-    cores.append((carry(d - 1, z) @ t[0])[:, :, None])
+    cores.append(carry(d - 1, z).sum(axis=2, keepdims=True))
     return _from_cores(cores)
 
 
@@ -592,25 +604,24 @@ def _round_cores(core, shape, delta: float, relative: bool = False) -> TTTensor:
     def right(k, m, rows):
         return np.tensordot(m, core(k, rows), axes=([1], [2])).transpose(0, 2, 1)
 
-    one = np.ones((1, 1))
-    return _sweep_round(left, right, shape, one, one, delta, block=4, relative=relative)
+    return _sweep_round(left, right, shape, delta, block=4, relative=relative)
 
 
-def _cp_to_tt(factors, weights, delta: float) -> TTTensor:
-    """The CP tensor ``sum_j w_j * outer_i factors[i][:, j]`` as a train rounded at ``delta`` per step.
+def _cp_to_tt(factors, delta: float) -> TTTensor:
+    """The CP tensor ``sum_j outer_i factors[i][:, j]`` as a train rounded at ``delta`` per step.
 
-    As a train it has diagonal ``N x n_i x N`` carriages, closed by ``w`` on
-    the left and ones on the right; they are never formed, because
-    contracting one with a matrix only scales the matrix's columns by a row
-    of the mode's factor.  The result is within ``sqrt(d-1)*delta`` of the CP
-    tensor in the Frobenius norm (see :func:`_sweep_round`).
+    As a train it has diagonal ``N x n_i x N`` carriages, closed by ones on
+    both sides; they are never formed, because contracting one with a matrix
+    only scales the matrix's columns by a row of the mode's factor.  The
+    result is within ``sqrt(d-1)*delta`` of the CP tensor in the Frobenius
+    norm (see :func:`_sweep_round`).
     """
 
     def scale(k, m, rows):
         return m[:, None, :] * factors[k][None, rows]
 
     shape = [len(f) for f in factors]
-    return _sweep_round(scale, scale, shape, weights[None, :], np.ones((1, len(weights))), delta, block=2)
+    return _sweep_round(scale, scale, shape, delta, block=2)
 
 
 def _face_split(g: np.ndarray, h: np.ndarray) -> np.ndarray:

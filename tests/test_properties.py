@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from fracsum.expsum import build_expsum, params_for_terms
 from fracsum.solver import (
     KroneckerSum,
-    _decays,
-    _scaled_weights,
+    _sum_filter,
     oracle_apply,
     solve_cp,
     solve_dense,
@@ -73,7 +72,7 @@ def test_tt_solve_within_rounding_allowance_of_the_sum(p):
         assert np.linalg.norm(x.to_dense() - ref) <= allowance + 1e-12 * np.linalg.norm(ref)
         if allowance > 0.0:
             delta = 0.5 * (es.n_terms - 1) * round_tol / math.sqrt(len(p["shape"]) - 1)
-            filter_ranks = _cp_to_tt(_decays(ks, es), _scaled_weights(ks, es), delta).ranks
+            filter_ranks = _cp_to_tt(_sum_filter(ks, es).factors, delta).ranks
         else:
             filter_ranks = (es.n_terms,) * (len(p["shape"]) - 1)
         assert all(r <= rf * rc for r, rf, rc in zip(x.ranks, filter_ranks, c_tt.ranks))

@@ -1,5 +1,7 @@
 """Kronecker-sum solver: format paths, oracle and bounds."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from fracsum.solver import (
     KroneckerSum,
     MemoryCapError,
     SolveReport,
+    _eigenvalue_sums,
+    _sum_filter,
     exp_kron_apply,
     oracle_apply,
     solve_cp,
@@ -109,6 +113,45 @@ class TestSolveDense:
             solve_dense(ks, np.zeros((8, 8, 8)), make_es(), memory_cap=100)
         x, _ = solve_dense(ks, np.zeros((8, 8, 8)), make_es(), memory_cap=512)
         assert x.shape == (8, 8, 8)
+
+
+class TestSumFilter:
+    @pytest.mark.parametrize("sizes", [(5,), (3, 4), (3, 4, 5), (2, 3, 4, 3)], ids=["d1", "d2", "d3", "d4"])
+    def test_densified_filter_is_the_scaled_sum_of_exponentials(self, sizes):
+        rng = np.random.default_rng(22)
+        ks = KroneckerSum([random_spd(rng, n) for n in sizes])
+        es = build_expsum(params_for_terms(0.4, 30))
+        lam_min = ks.lambda_min
+        ref = lam_min**-0.4 * sum(
+            w * np.exp(-t * _eigenvalue_sums(ks) / lam_min) for w, t in zip(es.weights, es.exponents)
+        )
+        f = _sum_filter(ks, es)
+        assert f.rank == es.n_terms
+        assert np.linalg.norm(f.to_dense() - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+class TestWallTime:
+    @pytest.mark.parametrize("fmt", ["dense", "cp", "tucker", "tt"])
+    def test_excludes_the_eigendecomposition(self, fmt, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def slow_eigh(a):
+            time.sleep(0.2)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+        rng = np.random.default_rng(23)
+        ks = KroneckerSum([random_spd(rng, 4), random_spd(rng, 5)])
+        c = rng.standard_normal((4, 5))
+        es = make_es(0.5, 1e-3)
+        solves = {
+            "dense": lambda: solve_dense(ks, c, es),
+            "cp": lambda: solve_cp(ks, CPTensor((c, np.eye(5))), es),
+            "tucker": lambda: solve_tucker(ks, hosvd(c, ranks=c.shape), es),
+            "tt": lambda: solve_tt(ks, tt_svd(c, tol=0.0), es),
+        }
+        _, report = solves[fmt]()
+        assert report.wall_time < 0.2
 
 
 class TestSolveCP:

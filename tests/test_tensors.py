@@ -5,6 +5,7 @@ import pytest
 
 from fracsum.tensors import (
     CPTensor,
+    MemoryCapError,
     TTTensor,
     TuckerTensor,
     _as_cores,
@@ -256,6 +257,13 @@ class TestTTArithmetic:
         x = rand((4, 5, 6), 9)
         assert tt_norm(tt_svd(x, tol=0.0)) == pytest.approx(np.linalg.norm(x), rel=1e-13)
 
+    def test_to_dense_memory_cap(self):
+        x = rand((4, 4, 4), 10)
+        t = tt_svd(x, tol=0.0)
+        with pytest.raises(MemoryCapError):
+            t.to_dense(memory_cap=10)
+        np.testing.assert_allclose(t.to_dense(memory_cap=64), x, atol=1e-13)
+
 
 class TestTTRound:
     def test_doubling_then_rounding_restores_ranks(self):
@@ -364,9 +372,10 @@ class TestCPToTT:
         exponents = np.geomspace(1e-2, 1e1, n_terms)
         factors = [np.exp(-np.outer(rng.uniform(0.5, 5.0, n), exponents)) for n in shape]
         weights = rng.uniform(0.1, 1.0, n_terms)
-        dense = CPTensor((factors[0] * weights, *factors[1:])).to_dense()
+        factors[0] = factors[0] * weights
+        dense = CPTensor(tuple(factors)).to_dense()
         delta = rel_delta * np.linalg.norm(dense)
-        f = _cp_to_tt(factors, weights, delta)
+        f = _cp_to_tt(factors, delta)
         err = np.linalg.norm(f.to_dense() - dense)
         assert err <= np.sqrt(len(shape) - 1) * delta + 1e-13 * np.linalg.norm(dense)
         assert max(f.ranks) <= n_terms
