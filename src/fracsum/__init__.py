@@ -13,16 +13,10 @@ The package has four layers:
 The ``fracsum`` command line (see :mod:`fracsum.cli`) reproduces the error and
 rank-decay studies as plain-text data files.
 
-Setting the environment variable ``FRACSUM_THREADS`` before the first import
-caps the BLAS worker pools used by the numerical kernels.
+The numerical kernels run in numpy's BLAS; its thread pool follows the
+backend's own variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``),
+which take effect only when set before numpy is first imported.
 """
-
-import os as _os
-
-if "FRACSUM_THREADS" in _os.environ:
-    # must happen before numpy initializes its BLAS backend
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["FRACSUM_THREADS"])
 
 from .expsum import (
     EPS_CAP,
@@ -38,7 +32,6 @@ from .expsum import (
     select_params,
     strip_norm_bound,
     total_error_bound,
-    truncation_bound,
 )
 from .problems import Grid1D, RhsSpec, laplacian_1d, sample_rhs
 from .solver import (
@@ -58,18 +51,14 @@ from .tensors import (
     TTTensor,
     TuckerTensor,
     cp_als,
-    fold,
     hosvd,
     mode_product,
     multi_mode_product,
-    tt_add,
     tt_mode_product,
     tt_norm,
     tt_round,
     tt_svd,
     unfold,
-    unvec,
-    vec,
 )
 
 __version__ = "0.1.0"

@@ -239,17 +239,14 @@ def cmd_poisson(args) -> None:
     if args.sum_lengths:
         lengths = _parse_lengths(args.sum_lengths)
     else:
-        lengths = sorted(
-            {
-                params_for_terms(args.alpha, n).n_terms
-                for n in np.unique(np.geomspace(3, max(args.N, 3), 30).astype(int))
-            }
-        )
+        # params_for_terms hits every budget >= 3 exactly
+        lengths = np.unique(np.geomspace(3, max(args.N, 3), 30).astype(int))
+    solve = _format_solver(ks, rhs, dense, args)
     rows = []
     last = None
     for n_terms in lengths:
         es = build_expsum(params_for_terms(args.alpha, int(n_terms)))
-        x = _solve_in_format(ks, rhs, dense, es, args)
+        x = solve(es)
         err = float(np.linalg.norm(x - x_ref) / ref_norm)
         rows.append((es.n_terms, err))
         last = es
@@ -276,18 +273,17 @@ def _parse_lengths(text: str):
     return lengths
 
 
-def _solve_in_format(ks, rhs, dense, es, args) -> np.ndarray:
+def _format_solver(ks, rhs, dense, args):
+    """The sweep's dense solution as a function of the sum; the right-hand side is converted to the format once."""
     if args.format == "dense":
-        x, _ = solve_dense(ks, dense, es, memory_cap=args.memory_cap)
-        return x
+        return lambda es: solve_dense(ks, dense, es, memory_cap=args.memory_cap)[0]
     if args.format == "cp":
-        x, _ = solve_cp(ks, rhs, es)
-        return x.to_dense()
+        return lambda es: solve_cp(ks, rhs, es)[0].to_dense()
     if args.format == "tucker":
-        x, _ = solve_tucker(ks, hosvd(dense, tol=1e-14), es)
-        return x.to_dense()
-    x, _ = solve_tt(ks, tt_svd(dense, tol=0.0), es, round_tol=args.round_tol)
-    return x.to_dense(memory_cap=args.memory_cap)
+        c = hosvd(dense, tol=1e-14)
+        return lambda es: solve_tucker(ks, c, es)[0].to_dense()
+    c = tt_svd(dense, tol=0.0)
+    return lambda es: solve_tt(ks, c, es, round_tol=args.round_tol)[0].to_dense(memory_cap=args.memory_cap)
 
 
 def cmd_rank_decay(args) -> None:

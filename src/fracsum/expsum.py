@@ -43,7 +43,6 @@ __all__ = [
     "select_params",
     "strip_norm_bound",
     "total_error_bound",
-    "truncation_bound",
 ]
 
 # Largest accuracy target for which the closed-form error bound is certified.
@@ -117,11 +116,6 @@ class ExpSumParams:
     def n_terms(self) -> int:
         return self.n_minus + self.n_plus + 1
 
-    @property
-    def loose(self) -> bool:
-        """True when eps exceeds the cap under which the closed-form bound is certified."""
-        return self.eps > EPS_CAP
-
 
 @dataclass(frozen=True)
 class ExpSum:
@@ -132,16 +126,21 @@ class ExpSum:
 
         weights[j]   = h / (alpha * Gamma(alpha)) / (1 + exp(-j*h))
         exponents[j] = log(1 + exp(j*h)) ** (1/alpha)
+
+    Both are stored as read-only copies, so a sum never changes after it
+    is built and a certificate attached to it cannot go stale.
     """
 
     params: ExpSumParams
     weights: np.ndarray
     exponents: np.ndarray
-    # (key, bound) of an a-posteriori certificate the library computed; see
+    # the a-posteriori bound the library certified for this sum; see
     # certified_bound.  Not a constructor argument, so no caller can pass one.
-    _certificate: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _certificate: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("weights", "exponents"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         n = self.params.n_terms
         if self.weights.shape != (n,) or self.exponents.shape != (n,):
             raise ValueError("weights/exponents must both have n_minus + n_plus + 1 entries")
@@ -154,8 +153,15 @@ class ExpSum:
     def n_terms(self) -> int:
         return self.params.n_terms
 
-    def __call__(self, xi):
-        return evaluate(self, xi)
+    def __setstate__(self, state):
+        # unpickling and copy.deepcopy would otherwise hand back writable arrays
+        self.__dict__.update(state, weights=_read_only(state["weights"]), exponents=_read_only(state["exponents"]))
+
+
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def integrand_g(tau, xi: float, alpha: float) -> complex:
@@ -190,7 +196,7 @@ def integrand_g(tau, xi: float, alpha: float) -> complex:
     return num * w / (1.0 + w)
 
 
-def select_params(alpha: float, eps: float, d: float | None = None) -> ExpSumParams:
+def select_params(alpha: float, eps: float) -> ExpSumParams:
     """Choose certified quadrature parameters for a target accuracy.
 
     Parameters
@@ -201,9 +207,9 @@ def select_params(alpha: float, eps: float, d: float | None = None) -> ExpSumPar
         Target accuracy.  Values above ``EPS_CAP`` (~0.085) are accepted but
         flagged: the readable closed-form bound is not certified there and
         :func:`total_error_bound` falls back to the generic form.
-    d : float, optional
-        Strip half-width override, 0 < d <= pi*alpha/8.  Defaults to the
-        maximum pi*alpha/8, which maximizes the quadrature decay rate.
+
+    The strip half-width is the maximum ``d = pi*alpha/8``, which maximizes
+    the quadrature decay rate.
 
     Returns
     -------
@@ -215,8 +221,7 @@ def select_params(alpha: float, eps: float, d: float | None = None) -> ExpSumPar
         raise ValueError(f"eps must be positive, got {eps}")
     if eps >= 1.0:
         raise ValueError(f"eps must be below 1 for a meaningful step size, got {eps}")
-    if d is None:
-        d = math.pi * alpha / 8.0
+    d = math.pi * alpha / 8.0
     if eps > EPS_CAP:
         warnings.warn(
             f"eps = {eps:g} exceeds exp(-pi^2/4) ~ {EPS_CAP:.4f}; "
@@ -335,17 +340,6 @@ def strip_norm_bound(alpha: float, xi: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return 2.0 * (1.0 + math.log(2.0) + math.gamma(alpha + 1.0) / (xi * _COS_PI_8) ** alpha)
-
-
-def truncation_bound(params: ExpSumParams) -> float:
-    """Bound on the tail dropped by truncating the lattice sum.
-
-    ``exp(-n_minus*h)/h + alpha*exp(-beta*(n_plus*h)**(1/alpha))/(beta*h**(1/alpha))``.
-    """
-    alpha, h, beta = params.alpha, params.h, params.beta
-    neg = math.exp(-params.n_minus * h) / h
-    pos = alpha * math.exp(-beta * (params.n_plus * h) ** (1.0 / alpha)) / (beta * h ** (1.0 / alpha))
-    return neg + pos
 
 
 def total_error_bound(params: ExpSumParams) -> float:
@@ -487,22 +481,18 @@ def certified_bound(es: ExpSum) -> float:
 
     This is :func:`total_error_bound` of ``es.params``, unless the library
     certified this very sum a posteriori (as :func:`best_expsum` does); then
-    it is the smaller of the two.  The a-posteriori certificate is tied to
-    the weight and exponent values it was computed from: a sum assembled by
-    hand, or one whose arrays were changed since, gets the a-priori bound.
+    it is the smaller of the two.  A sum assembled by hand, even from the
+    arrays of a certified one, gets the a-priori bound.
     """
     bound = total_error_bound(es.params)
-    cert = es._certificate
-    if cert is not None and cert[0] == (es.params.alpha, es.weights.tobytes(), es.exponents.tobytes()):
-        bound = min(bound, cert[1])
+    if es._certificate is not None:
+        bound = min(bound, es._certificate)
     return bound
 
 
 def _certified(es: ExpSum) -> ExpSum:
-    """Attach the a-posteriori certificate of ``es``, keyed by its array values."""
-    alpha = es.params.alpha
-    key = (alpha, es.weights.tobytes(), es.exponents.tobytes())
-    object.__setattr__(es, "_certificate", (key, _a_posteriori_bound(alpha, es.weights, es.exponents)))
+    """Attach the a-posteriori certificate of ``es``; its arrays are read-only, so it holds for good."""
+    object.__setattr__(es, "_certificate", _a_posteriori_bound(es.params.alpha, es.weights, es.exponents))
     return es
 
 

@@ -1,10 +1,10 @@
 """Apply fractional inverse powers of Kronecker sums to tensors.
 
 A Kronecker sum of symmetric positive definite factors ``A_1 .. A_d`` acts on
-``vec(X)`` as the sum of the per-mode products ``X x_i A_i``.  Its inverse
-fractional power is applied through the exponential sum of
-:mod:`fracsum.expsum`: after scaling the operator by its smallest eigenvalue
-so that the spectrum starts at 1,
+a tensor ``X``, linearized column-major, as the sum of the per-mode products
+``X x_i A_i``.  Its inverse fractional power is applied through the
+exponential sum of :mod:`fracsum.expsum`: after scaling the operator by its
+smallest eigenvalue so that the spectrum starts at 1,
 
     X_N = lambda_min**(-alpha) * sum_j w_j * (C x_1 E_1j ... x_d E_dj),
 
@@ -27,6 +27,8 @@ by the factors of ``F``, and rotated back; tensor-train carriages are rotated
 once, multiplied entrywise by ``F`` written as a train, and rotated back.  So
 the construction maps verbatim onto those formats and yields the rank growth
 certificates checked in the test suite.  All paths share one report builder.
+Non-finite input fails with a ``ValueError``: factors at construction, and a
+right-hand side whose norm is not finite at the start of a solve.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class KroneckerSum:
     """Ordered symmetric positive definite factors of a Kronecker sum.
 
     Eigendecompositions are computed once on first use and shared by every
-    solve; positive definiteness is checked at that point.  Symmetry is
-    checked eagerly at construction.
+    solve; positive definiteness is checked at that point.  Finite entries
+    and symmetry are checked eagerly at construction.
     """
 
     def __init__(self, factors):
@@ -83,6 +85,8 @@ class KroneckerSum:
         for i, a in enumerate(factors):
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError(f"factor {i} is not square")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"factor {i} has non-finite entries")
             scale = np.max(np.abs(a))
             if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
                 raise ValueError(f"factor {i} is not symmetric")
@@ -166,6 +170,13 @@ def _start(ks: KroneckerSum) -> float:
     return time.perf_counter()
 
 
+def _finite_norm(cnorm: float) -> float:
+    """``cnorm``, the norm of a right-hand side, checked to be finite (NaN fails too)."""
+    if not math.isfinite(cnorm):
+        raise ValueError(f"right-hand side norm is {cnorm}; entries must be finite")
+    return cnorm
+
+
 def _report(ks: KroneckerSum, es: ExpSum, start: float, cnorm: float, ranks=(), allowance: float = 0.0) -> SolveReport:
     """The report of a solve of a right-hand side of norm ``cnorm`` begun at ``start``."""
     return SolveReport(
@@ -229,8 +240,9 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = D
     ks._check_shape(c.shape)
     _check_memory(c.size, memory_cap, "dense solve")
     start = _start(ks)
+    cnorm = _finite_norm(float(np.linalg.norm(c)))
     x = _filter(ks, c, _sum_filter(ks, es).to_dense())
-    return x, _report(ks, es, start, float(np.linalg.norm(c)))
+    return x, _report(ks, es, start, cnorm)
 
 
 def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
@@ -243,8 +255,9 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     """
     ks._check_shape(c.shape)
     start = _start(ks)
+    cnorm = _finite_norm(_cp_norm(c))
     result = CPTensor(tuple(_stacked_factors(ks, _sum_filter(ks, es).factors, c.factors)))
-    return result, _report(ks, es, start, _cp_norm(c), ranks=(result.rank,))
+    return result, _report(ks, es, start, cnorm, ranks=(result.rank,))
 
 
 def _cp_norm(c: CPTensor) -> float:
@@ -269,6 +282,8 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     """
     ks._check_shape(c.shape)
     start = _start(ks)
+    # the factors are orthonormal, so the core carries the norm
+    cnorm = _finite_norm(float(np.linalg.norm(c.core)))
     qs, r_blocks = zip(*(np.linalg.qr(b) for b in _stacked_factors(ks, _sum_filter(ks, es).factors, c.factors)))
     # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
     r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
@@ -285,8 +300,7 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
         last = r_blocks[-1][:, terms].transpose(1, 2, 0).reshape(-1, ranks[-1])
         core += x.reshape(len(last), -1).T @ last
     result = TuckerTensor(core=core.reshape(ranks), factors=qs)
-    # the factors are orthonormal, so the core carries the norm
-    return result, _report(ks, es, start, float(np.linalg.norm(c.core)), ranks=result.ranks)
+    return result, _report(ks, es, start, cnorm, ranks=result.ranks)
 
 
 def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12):
@@ -318,10 +332,10 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     rounding, is outside ``error_bound``.
     """
     ks._check_shape(c.shape)
-    if round_tol < 0.0:
-        raise ValueError("round_tol must be nonnegative")
+    if not 0.0 <= round_tol < math.inf:
+        raise ValueError(f"round_tol must be finite and nonnegative, got {round_tol}")
     start = _start(ks)
-    cnorm = tt_norm(c)
+    cnorm = _finite_norm(tt_norm(c))
     qs = [q for _, q in ks.spectra]
     rotated = _tt_mode_products(c, [q.T for q in qs])
     # per-step threshold of the filter; times ||c||, that of the product
@@ -343,15 +357,16 @@ def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int 
 
     Rotates into the joint eigenbasis, scales by the eigenvalue sums raised
     to ``-alpha``, and rotates back; exact up to eigensolver accuracy.  Any
-    ``alpha >= 0`` is accepted here (``alpha = 1`` solves the classical
+    finite ``alpha >= 0`` is accepted here (``alpha = 1`` solves the classical
     problem, ``alpha = 0`` is the identity), which makes this the reference
     for every solve path.
     """
     c = np.asarray(c, dtype=float)
     ks._check_shape(c.shape)
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     _check_memory(c.size, memory_cap, "dense oracle")
+    _finite_norm(float(np.linalg.norm(c)))
     return _filter(ks, c, _eigenvalue_sums(ks) ** (-alpha))
 
 

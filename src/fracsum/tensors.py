@@ -1,11 +1,11 @@
 """Dense, CP, Tucker and tensor-train tensors with rank-controlled arithmetic.
 
-Dense tensors are plain ``numpy.ndarray`` objects.  The linearization
-convention is column-major throughout: ``vec(X) == X.ravel(order="F")``, the
-first index varying fastest.  Under this convention the mode-1 product of a
-matrix with a d = 2 tensor is the ordinary product ``A @ X``, and the mode-i
-product corresponds to the Kronecker-structured matrix with the non-identity
-factor in position i counted from the right acting on ``vec(X)``.
+Dense tensors are plain ``numpy.ndarray`` objects.  A tensor is linearized
+column-major throughout, the first index varying fastest.  Under this
+convention the mode-1 product of a matrix with a d = 2 tensor is the
+ordinary product ``A @ X``, and the mode-i product acts on the linearized
+tensor as the Kronecker-structured matrix whose non-identity factor sits in
+position i counted from the right.
 :func:`multi_mode_product` is the one kernel for a matrix along every mode:
 the solver's rotations, Tucker densification and the HOSVD core use it.
 
@@ -44,18 +44,14 @@ __all__ = [
     "TTTensor",
     "TuckerTensor",
     "cp_als",
-    "fold",
     "hosvd",
     "mode_product",
     "multi_mode_product",
-    "tt_add",
     "tt_mode_product",
     "tt_norm",
     "tt_round",
     "tt_svd",
     "unfold",
-    "vec",
-    "unvec",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -76,16 +72,6 @@ def _check_memory(entries: int, memory_cap: int, path: str) -> None:
 # dense tensors
 # ---------------------------------------------------------------------------
 
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-major vectorization (first index fastest)."""
-    return np.asarray(x).ravel(order="F")
-
-
-def unvec(v: np.ndarray, shape) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape(shape, order="F")
-
-
 def unfold(x: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding of a dense tensor.
 
@@ -97,14 +83,6 @@ def unfold(x: np.ndarray, mode: int) -> np.ndarray:
     if not 0 <= mode < x.ndim:
         raise IndexError(f"mode {mode} out of range for a {x.ndim}-way tensor")
     return np.moveaxis(x, mode, 0).reshape(x.shape[mode], -1, order="F")
-
-
-def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold` for a tensor of the given shape."""
-    shape = tuple(shape)
-    rest = shape[:mode] + shape[mode + 1:]
-    x = np.asarray(m).reshape((shape[mode],) + rest, order="F")
-    return np.moveaxis(x, 0, mode)
 
 
 def mode_product(x: np.ndarray, mode: int, a: np.ndarray) -> np.ndarray:
@@ -299,7 +277,8 @@ class TuckerTensor:
             if f.shape[1] > f.shape[0]:
                 raise ValueError(f"factor {i} has more columns than rows")
             gram = f.T @ f
-            if np.max(np.abs(gram - np.eye(f.shape[1]))) > _ORTHO_TOL:
+            # written so that a NaN defect fails too
+            if not np.max(np.abs(gram - np.eye(f.shape[1]))) <= _ORTHO_TOL:
                 raise ValueError(f"factor {i} columns are not orthonormal")
 
     @property
@@ -487,23 +466,6 @@ def tt_mode_product(x: TTTensor, mode: int, a: np.ndarray) -> TTTensor:
         cars[-1] = cars[-1] @ a.T
     else:
         cars[mode] = np.einsum("rns,mn->rms", cars[mode], a)
-    return TTTensor(tuple(cars))
-
-
-def tt_add(x: TTTensor, y: TTTensor) -> TTTensor:
-    """Sum of two trains; each rank of the result is the sum of the inputs' ranks."""
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    cx, cy = x.carriages, y.carriages
-    cars = [np.hstack([cx[0], cy[0]])]
-    for a, b in zip(cx[1:-1], cy[1:-1]):
-        ra, n, sa = a.shape
-        rb, _, sb = b.shape
-        block = np.zeros((ra + rb, n, sa + sb))
-        block[:ra, :, :sa] = a
-        block[ra:, :, sa:] = b
-        cars.append(block)
-    cars.append(np.vstack([cx[-1], cy[-1]]))
     return TTTensor(tuple(cars))
 
 

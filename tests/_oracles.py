@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from fracsum.tensors import TTTensor
+
 
 def ref_power(xi: float, alpha: float) -> float:
     """Reference value of xi**(-alpha), cross-checked between two routes.
@@ -62,6 +64,25 @@ def log_abs_g(tau: complex, xi: float, alpha: float) -> float:
     else:
         log_den = math.log(abs(1.0 + cmath.exp(-tau)))
     return -xi * re_power - log_den
+
+
+def vec(x) -> np.ndarray:
+    """Column-major vectorization, first index fastest: the convention of :func:`kron_sum_matrix`."""
+    return np.asarray(x).ravel(order="F")
+
+
+def tt_add(x: TTTensor, y: TTTensor) -> TTTensor:
+    """Sum of two trains by block-diagonal carriages; each rank is the sum of the inputs' ranks."""
+    cx, cy = x.carriages, y.carriages
+    cars = [np.hstack([cx[0], cy[0]])]
+    for a, b in zip(cx[1:-1], cy[1:-1]):
+        (ra, n, sa), (rb, _, sb) = a.shape, b.shape
+        block = np.zeros((ra + rb, n, sa + sb))
+        block[:ra, :, :sa] = a
+        block[ra:, :, sa:] = b
+        cars.append(block)
+    cars.append(np.vstack([cx[-1], cy[-1]]))
+    return TTTensor(tuple(cars))
 
 
 def kron_sum_matrix(factors) -> np.ndarray:

@@ -28,9 +28,9 @@ from fracsum.solver import (
     solve_tt,
     solve_tucker,
 )
-from fracsum.tensors import CPTensor, hosvd, tt_svd, vec
+from fracsum.tensors import CPTensor, hosvd, tt_svd
 
-from _oracles import expm_taylor, kron_sum_matrix, log_abs_g, numerical_multilinear_ranks, random_spd
+from _oracles import expm_taylor, kron_sum_matrix, log_abs_g, numerical_multilinear_ranks, random_spd, vec
 
 XI = np.logspace(0.0, 6.0, 100)
 

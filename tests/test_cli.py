@@ -11,9 +11,6 @@ import pytest
 import fracsum
 from fracsum.cli import main
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def run(args):
     return main([str(a) for a in args])
 
@@ -182,10 +179,17 @@ class TestTTHighD:
     def test_bad_alpha_exit_code(self, tmp_path):
         assert run(["tt-highd", "--d", 4, "--alpha", 1.5, "--out", tmp_path / "x.dat"]) == 2
 
+    @pytest.mark.parametrize("round_tol", ["nan", "inf"])
+    def test_non_finite_round_tol_exit_code(self, tmp_path, round_tol, capsys):
+        args = ["tt-highd", "--d", 3, "--n", 4, "--N", 10, "--round-tol", round_tol, "--out", tmp_path / "x.dat"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "round_tol must be finite" in err and err.count("\n") == 1
 
-def _package_env(**extra):
+
+def _package_env():
     """The environment with the import path of the running suite, so a subprocess imports the package under test."""
-    env = {**os.environ, **extra}
+    env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(fracsum.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
@@ -204,15 +208,3 @@ class TestEntryPoint:
             [sys.executable, "-m", "fracsum.cli", "poisson", "--bogus"], capture_output=True, text=True, env=_package_env()
         )
         assert proc.returncode == 2
-
-    def test_thread_cap_env(self):
-        # drop thread variables that would pre-empt the cap
-        env = {k: v for k, v in _package_env(FRACSUM_THREADS="2").items() if k not in THREAD_VARS}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import os; import fracsum; print(os.environ['OMP_NUM_THREADS'])"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "2"

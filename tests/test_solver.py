@@ -28,9 +28,9 @@ from fracsum.solver import (
     solve_tt,
     solve_tucker,
 )
-from fracsum.tensors import CPTensor, hosvd, tt_svd, vec
+from fracsum.tensors import CPTensor, TTTensor, TuckerTensor, hosvd, tt_svd
 
-from _oracles import expm_taylor, kron_sum_matrix, random_spd
+from _oracles import expm_taylor, kron_sum_matrix, random_spd, vec
 
 
 def make_es(alpha=0.5, eps=1e-6):
@@ -411,3 +411,68 @@ class TestSolveReport:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             SolveReport(n_terms=1, error_bound=-1.0, wall_time=0.0)
+
+
+class TestNonFiniteInput:
+    """Non-finite input fails with a one-line ``ValueError`` instead of a NaN or infinite bound."""
+
+    @pytest.fixture
+    def setup(self):
+        rng = np.random.default_rng(30)
+        ks = KroneckerSum([random_spd(rng, 4), random_spd(rng, 3), random_spd(rng, 5)])
+        return ks, rng.standard_normal((4, 3, 5)), make_es()
+
+    @staticmethod
+    def raises(match, fn, *args, **kwargs):
+        with pytest.raises(ValueError, match=match) as info:
+            fn(*args, **kwargs)
+        assert "\n" not in str(info.value)
+
+    def test_factor_with_inf_entry(self):
+        a = np.eye(3)
+        a[1, 1] = np.inf
+        self.raises("non-finite", KroneckerSum, [np.eye(2), a])
+
+    def test_dense_rhs_with_nan_entry(self, setup):
+        ks, c, es = setup
+        c[1, 2, 3] = np.nan
+        self.raises("norm is nan", solve_dense, ks, c, es)
+
+    def test_cp_factor_with_inf_entry(self, setup):
+        ks, c, es = setup
+        factors = [np.ones((n, 2)) for n in c.shape]
+        factors[1][0, 1] = np.inf
+        self.raises("must be finite", solve_cp, ks, CPTensor(tuple(factors)), es)
+
+    def test_tucker_factor_with_nan_entry(self):
+        f = np.eye(4)[:, :2].copy()
+        f[0, 0] = np.nan
+        self.raises("not orthonormal", TuckerTensor, np.ones((2, 2)), (f, np.eye(3)[:, :2]))
+
+    def test_tucker_core_with_nan_entry(self, setup):
+        ks, c, es = setup
+        t = hosvd(c, tol=1e-14)
+        core = t.core.copy()
+        core[0, 0, 0] = np.nan
+        self.raises("norm is nan", solve_tucker, ks, TuckerTensor(core, t.factors), es)
+
+    def test_tt_carriage_with_nan_entry(self, setup):
+        ks, c, es = setup
+        t = tt_svd(c, tol=0.0)
+        last = t.carriages[-1].copy()
+        last[0, 0] = np.nan
+        self.raises("norm is nan", solve_tt, ks, TTTensor(t.carriages[:-1] + (last,)), es)
+
+    @pytest.mark.parametrize("round_tol", [np.nan, np.inf])
+    def test_non_finite_round_tol(self, setup, round_tol):
+        ks, c, es = setup
+        self.raises("round_tol must be finite", solve_tt, ks, tt_svd(c, tol=0.0), es, round_tol=round_tol)
+
+    def test_oracle_nan_alpha(self, setup):
+        ks, c, _ = setup
+        self.raises("alpha must be finite", oracle_apply, ks, c, np.nan)
+
+    def test_oracle_rhs_with_inf_entry(self, setup):
+        ks, c, _ = setup
+        c[0, 0, 0] = np.inf
+        self.raises("norm is inf", oracle_apply, ks, c, 0.5)

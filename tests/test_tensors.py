@@ -12,21 +12,17 @@ from fracsum.tensors import (
     _cp_to_tt,
     _tt_hadamard_round,
     cp_als,
-    fold,
     hosvd,
     mode_product,
     multi_mode_product,
-    tt_add,
     tt_mode_product,
     tt_norm,
     tt_round,
     tt_svd,
     unfold,
-    unvec,
-    vec,
 )
 
-from _oracles import numerical_multilinear_ranks
+from _oracles import numerical_multilinear_ranks, tt_add, vec
 
 
 def rand(shape, seed=0):
@@ -44,18 +40,14 @@ class TestUnfoldAndVec:
         np.testing.assert_array_equal(unfold(x, 0), x)
         np.testing.assert_array_equal(unfold(x, 1), x.T)
 
-    def test_vec_first_index_fastest(self):
-        x = np.arange(6.0).reshape(2, 3, order="F")
-        np.testing.assert_array_equal(vec(x), np.arange(6.0))
-        np.testing.assert_array_equal(unvec(vec(x), (2, 3)), x)
-
     def test_shapes_and_roundtrip(self):
         x = rand((2, 3, 4), 2)
         assert unfold(x, 0).shape == (2, 12)
         assert unfold(x, 1).shape == (3, 8)
         assert unfold(x, 2).shape == (4, 6)
-        for i in range(3):
-            np.testing.assert_array_equal(fold(unfold(x, i), i, x.shape), x)
+        # columns follow the column-major order of the remaining indices
+        np.testing.assert_array_equal(unfold(x, 1)[:, 1], x[1, :, 0])
+        np.testing.assert_array_equal(unfold(x, 1)[:, 2], x[0, :, 1])
 
     def test_rank_one_unfoldings(self):
         u, v, w = rand(4, 3), rand(5, 4), rand(6, 5)
@@ -230,28 +222,6 @@ class TestTTArithmetic:
             y = tt_mode_product(t, mode, m)
             assert y.ranks == t.ranks  # ranks are structurally unchanged
             np.testing.assert_allclose(y.to_dense(), mode_product(x, mode, m), atol=1e-12)
-
-    def test_add_zero(self):
-        x = rand((3, 4, 5), 6)
-        t = tt_svd(x, tol=0.0)
-        zero = tt_svd(np.zeros((3, 4, 5)), tol=0.0)
-        s = tt_add(t, zero)
-        assert s.ranks == tuple(r + z for r, z in zip(t.ranks, zero.ranks))
-        np.testing.assert_allclose(s.to_dense(), x, atol=1e-13)
-
-    def test_add_rank_one_pair(self):
-        a = tt_svd(np.multiply.outer(np.multiply.outer(rand(4, 1), rand(4, 2)), rand(4, 3)), tol=0.0)
-        b = tt_svd(np.multiply.outer(np.multiply.outer(rand(4, 4), rand(4, 5)), rand(4, 6)), tol=0.0)
-        assert tt_add(a, b).ranks == (2, 2)
-
-    def test_add_matches_dense(self):
-        x, y = rand((5, 5, 5, 5), 7), rand((5, 5, 5, 5), 8)
-        s = tt_add(tt_svd(x, tol=0.0), tt_svd(y, tol=0.0))
-        np.testing.assert_allclose(s.to_dense(), x + y, atol=1e-12 * np.linalg.norm(x + y))
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tt_add(tt_svd(rand((3, 3), 1), tol=0.0), tt_svd(rand((3, 4), 2), tol=0.0))
 
     def test_norm(self):
         x = rand((4, 5, 6), 9)
