@@ -48,7 +48,7 @@ from .solver import (
     solve_tt,
     solve_tucker,
 )
-from .tensors import CPTensor, _check_memory, cp_als, hosvd, tt_svd
+from .tensors import CPTensor, _check_memory, _check_nonnegative, cp_als, hosvd, tt_svd
 
 XI_GRID = np.logspace(0.0, 6.0, 100)  # evaluation arguments for error sweeps
 
@@ -215,11 +215,12 @@ def _poisson_setup(args):
     grids = [Grid1D(args.n)] * args.d
     ks = KroneckerSum([laplacian_1d(args.n)] * args.d)
     rhs = sample_rhs(RhsSpec(kind=args.rhs, d=args.d, seed=args.seed), grids, memory_cap=args.memory_cap)
-    dense = rhs if isinstance(rhs, np.ndarray) else rhs.to_dense()
+    dense = rhs if isinstance(rhs, np.ndarray) else rhs.to_dense(memory_cap=args.memory_cap)
     return ks, rhs, dense
 
 
 def cmd_poisson(args) -> None:
+    _check_nonnegative(args.round_tol, "round_tol")
     ks, rhs, dense = _poisson_setup(args)
     if args.alpha == 1.0:
         # classical sanity mode: check the diagonalization oracle against the
@@ -278,10 +279,10 @@ def _format_solver(ks, rhs, dense, args):
     if args.format == "dense":
         return lambda es: solve_dense(ks, dense, es, memory_cap=args.memory_cap)[0]
     if args.format == "cp":
-        return lambda es: solve_cp(ks, rhs, es)[0].to_dense()
+        return lambda es: solve_cp(ks, rhs, es)[0].to_dense(memory_cap=args.memory_cap)
     if args.format == "tucker":
         c = hosvd(dense, tol=1e-14)
-        return lambda es: solve_tucker(ks, c, es)[0].to_dense()
+        return lambda es: solve_tucker(ks, c, es)[0].to_dense(memory_cap=args.memory_cap)
     c = tt_svd(dense, tol=0.0)
     return lambda es: solve_tt(ks, c, es, round_tol=args.round_tol)[0].to_dense(memory_cap=args.memory_cap)
 
@@ -301,19 +302,19 @@ def cmd_rank_decay(args) -> None:
     grids = [Grid1D(args.n)] * d
     ks = KroneckerSum([laplacian_1d(args.n)] * d)
     rhs = sample_rhs(RhsSpec(kind="random_rank1", d=d, seed=args.seed), grids)
-    x_ref = oracle_apply(ks, rhs.to_dense(), args.alpha, memory_cap=args.memory_cap)
+    x_ref = oracle_apply(ks, rhs.to_dense(memory_cap=args.memory_cap), args.alpha, memory_cap=args.memory_cap)
 
     rows = []
     for rank in range(3, args.N + 1):
         es = build_expsum(params_for_terms(args.alpha, rank))
         constructive, report = solve_cp(ks, rhs, es)
-        err_constructive = float(np.linalg.norm(constructive.to_dense() - x_ref))
+        err_constructive = float(np.linalg.norm(constructive.to_dense(memory_cap=args.memory_cap) - x_ref))
         dist = {}
         if "cp" in formats:
             fit = cp_als(x_ref, rank, rng=np.random.default_rng(args.seed + rank), init=constructive)
-            dist["cp"] = float(np.linalg.norm(x_ref - fit.to_dense()))
+            dist["cp"] = float(np.linalg.norm(x_ref - fit.to_dense(memory_cap=args.memory_cap)))
         if "tucker" in formats:
-            dist["tucker"] = float(np.linalg.norm(x_ref - hosvd(x_ref, ranks=rank).to_dense()))
+            dist["tucker"] = float(np.linalg.norm(x_ref - hosvd(x_ref, ranks=rank).to_dense(memory_cap=args.memory_cap)))
         if "tt" in formats:
             approx = tt_svd(x_ref, tol=0.0, max_rank=rank).to_dense(memory_cap=args.memory_cap)
             dist["tt"] = float(np.linalg.norm(x_ref - approx))
@@ -338,6 +339,7 @@ def cmd_tt_highd(args) -> None:
         raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
     if min(dims) < 3:
         raise ConfigError("tt-highd needs dimension >= 3")
+    _check_nonnegative(args.round_tol, "round_tol")
     if args.eps is not None:
         es = build_expsum(select_params(args.alpha, args.eps))
     else:
@@ -353,7 +355,7 @@ def cmd_tt_highd(args) -> None:
             rhs_tt = rhs
         x, report = solve_tt(ks, rhs_tt, es, round_tol=args.round_tol)
         if d <= 4 and args.n ** d <= args.memory_cap:
-            dense = rhs if isinstance(rhs, np.ndarray) else rhs.to_dense()
+            dense = rhs if isinstance(rhs, np.ndarray) else rhs.to_dense(memory_cap=args.memory_cap)
             x_ref = oracle_apply(ks, dense, args.alpha, memory_cap=args.memory_cap)
             err = float(np.linalg.norm(x.to_dense(memory_cap=args.memory_cap) - x_ref) / np.linalg.norm(x_ref))
         else:

@@ -69,8 +69,6 @@ class ExpSumParams:
         Trapezoidal step, h = 2*pi*d / log(1/eps).
     n_minus, n_plus : int
         Number of lattice points kept on the negative/positive side.
-    beta : float
-        Real-axis decay constant cos(2*d/alpha), at least cos(pi/4).
     """
 
     alpha: float
@@ -79,7 +77,6 @@ class ExpSumParams:
     h: float
     n_minus: int
     n_plus: int
-    beta: float
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -94,23 +91,21 @@ class ExpSumParams:
             raise ValueError(f"h must equal 2*pi*d/log(1/eps) = {h_expected}, got {self.h}")
         if self.n_minus < 0 or self.n_plus < 0:
             raise ValueError("truncation counts must be nonnegative")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         # The truncation counts may exceed the minimal certified values, never
         # undercut them (extra terms only shrink the dropped tails).
-        n_minus_min, n_plus_min = _truncation_minima(self.alpha, self.d, self.h, self.beta)
+        n_minus_min, n_plus_min = _truncation_minima(self.alpha, self.d, self.h)
         if self.n_minus + 1e-9 < n_minus_min:
             raise ValueError("n_minus below the certified minimum 2*pi*d/h^2")
         if self.n_plus + 1e-9 < n_plus_min:
             raise ValueError(f"n_plus below the certified minimum {n_plus_min}")
-        beta_expected = math.cos(2.0 * self.d / self.alpha)
-        if not math.isclose(self.beta, beta_expected, rel_tol=1e-12, abs_tol=1e-15):
-            raise ValueError(f"beta must equal cos(2*d/alpha) = {beta_expected}, got {self.beta}")
-        if self.beta < _COS_PI_4 - 1e-12:
-            raise ValueError("beta must be at least cos(pi/4); decrease d")
         t_min = _lattice(self.alpha, self.h, np.array([-float(self.n_minus)]))[1][0]
         if not t_min >= np.finfo(float).tiny:
             raise ValueError(f"smallest exponent {t_min:g} is not a positive normal float; decrease n_minus*h")
+
+    @property
+    def beta(self) -> float:
+        """Real-axis decay constant ``cos(2*d/alpha)``, at least ``cos(pi/4)`` since ``d <= pi*alpha/8``."""
+        return math.cos(2.0 * self.d / self.alpha)
 
     @property
     def n_terms(self) -> int:
@@ -228,20 +223,20 @@ def select_params(alpha: float, eps: float) -> ExpSumParams:
             "the closed-form error constant is not certified in this regime",
             stacklevel=2,
         )
-    h, beta, n_minus, n_plus = _certified_counts(alpha, d, math.log(1.0 / eps))
-    return ExpSumParams(alpha=alpha, eps=eps, d=d, h=h, n_minus=n_minus, n_plus=n_plus, beta=beta)
+    h, n_minus, n_plus = _certified_counts(alpha, d, math.log(1.0 / eps))
+    return ExpSumParams(alpha=alpha, eps=eps, d=d, h=h, n_minus=n_minus, n_plus=n_plus)
 
 
 def _certified_counts(alpha: float, d: float, log_inv_eps: float):
-    """Step size, decay constant and minimal truncation counts for one target."""
+    """Step size and minimal truncation counts for one target."""
     h = 2.0 * math.pi * d / log_inv_eps
-    beta = math.cos(2.0 * d / alpha)
-    n_minus_min, n_plus_min = _truncation_minima(alpha, d, h, beta)
-    return h, beta, math.ceil(n_minus_min), math.ceil(n_plus_min)
+    n_minus_min, n_plus_min = _truncation_minima(alpha, d, h)
+    return h, math.ceil(n_minus_min), math.ceil(n_plus_min)
 
 
-def _truncation_minima(alpha: float, d: float, h: float, beta: float):
+def _truncation_minima(alpha: float, d: float, h: float):
     """The certified minimal truncation counts ``2*pi*d/h^2`` and ``(2*pi*d*h^(-(alpha+1)/alpha)/beta)^alpha``."""
+    beta = math.cos(2.0 * d / alpha)
     return 2.0 * math.pi * d / h**2, (2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / beta) ** alpha
 
 
@@ -262,7 +257,7 @@ def params_for_terms(alpha: float, n_terms: int) -> ExpSumParams:
     d = math.pi * alpha / 8.0
 
     def total(log_inv_eps: float) -> int:
-        _, _, n_minus, n_plus = _certified_counts(alpha, d, log_inv_eps)
+        _, n_minus, n_plus = _certified_counts(alpha, d, log_inv_eps)
         return n_minus + n_plus + 1
 
     lo, hi = 1e-3, 4.0
@@ -274,17 +269,9 @@ def params_for_terms(alpha: float, n_terms: int) -> ExpSumParams:
             lo = mid
         else:
             hi = mid
-    h, beta, n_minus, n_plus = _certified_counts(alpha, d, lo)
+    h, n_minus, n_plus = _certified_counts(alpha, d, lo)
     pad = n_terms - (n_minus + n_plus + 1)
-    return ExpSumParams(
-        alpha=alpha,
-        eps=math.exp(-lo),
-        d=d,
-        h=h,
-        n_minus=n_minus + pad,
-        n_plus=n_plus,
-        beta=beta,
-    )
+    return ExpSumParams(alpha=alpha, eps=math.exp(-lo), d=d, h=h, n_minus=n_minus + pad, n_plus=n_plus)
 
 
 def build_expsum(params: ExpSumParams) -> ExpSum:
@@ -458,10 +445,9 @@ def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParam
     def at(log_inv_eps):
         eps = math.exp(-log_inv_eps)
         d = h * math.log(1.0 / eps) / (2.0 * math.pi)
-        beta = math.cos(2.0 * d / alpha)
-        n_minus_min, n_plus_min = _truncation_minima(alpha, d, h, beta)
+        n_minus_min, n_plus_min = _truncation_minima(alpha, d, h)
         ok = d > 0.0 and n_minus + 1e-9 >= n_minus_min and n_plus + 1e-9 >= n_plus_min
-        return ok, eps, d, beta
+        return ok, eps, d
 
     widest = 2.0 * math.pi * (math.pi * alpha / 8.0) / h
     if not at(widest)[0]:
@@ -470,10 +456,10 @@ def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParam
             mid = 0.5 * (lo + widest)
             lo, widest = (mid, widest) if at(mid)[0] else (lo, mid)
         widest = lo
-    ok, eps, d, beta = at(widest)
+    ok, eps, d = at(widest)
     if not ok:
         return None
-    return ExpSumParams(alpha=alpha, eps=eps, d=d, h=h, n_minus=n_minus, n_plus=n_plus, beta=beta)
+    return ExpSumParams(alpha=alpha, eps=eps, d=d, h=h, n_minus=n_minus, n_plus=n_plus)
 
 
 def certified_bound(es: ExpSum) -> float:

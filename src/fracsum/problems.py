@@ -100,22 +100,12 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
 
     if spec.kind == "custom":
         _check_memory(total, memory_cap, "custom rhs")
-        return np.asarray(spec.fn(*_broadcast_coords(points)), dtype=float)
+        return np.asarray(spec.fn(*np.ix_(*points)), dtype=float)
 
     # inv_linear
     if total <= memory_cap:
-        return 1.0 / (1.0 + sum(_broadcast_coords(points)))
+        return 1.0 / (1.0 + sum(np.ix_(*points)))
     return _inv_linear_tt(grids)
-
-
-def _broadcast_coords(points):
-    d = len(points)
-    out = []
-    for i, p in enumerate(points):
-        shape = [1] * d
-        shape[i] = len(p)
-        out.append(p.reshape(shape))
-    return out
 
 
 def _inv_linear_tt(grids, tol: float = 1e-10) -> TTTensor:

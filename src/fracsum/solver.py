@@ -9,23 +9,24 @@ smallest eigenvalue so that the spectrum starts at 1,
     X_N = lambda_min**(-alpha) * sum_j w_j * (C x_1 E_1j ... x_d E_dj),
 
 where ``E_ij = exp(-t_j * A_i / lambda_min)``.  Every ``E_ij`` is diagonal in
-the eigenbasis ``Q_i`` of ``A_i``, so every path is one rotate-filter-rotate
-kernel: rotate into the joint eigenbasis ``Q = Q_1 (x) ... (x) Q_d``, multiply
-by a diagonal filter on the lattice of eigenvalue sums, rotate back.  For the
-sum the filter is the rank-N CP tensor
+the eigenbasis ``Q_i`` of ``A_i``, so every path, the exact references
+included, runs the same three steps, written once in ``_in_eigenbasis``:
+rotate into the joint eigenbasis ``Q = Q_1 (x) ... (x) Q_d``, multiply
+entrywise by a diagonal filter on the lattice of eigenvalue sums, and rotate
+back.  Both rotations are :func:`fracsum.tensors.multi_mode_product`, which
+takes every format.  For the sum the filter is the rank-N CP tensor
 
     F = lambda_min**(-alpha) * sum_j w_j * outer_i exp(-t_j * Lambda_i / lambda_min),
 
 built once per solve as a :class:`fracsum.tensors.CPTensor` whose mode-0
 factor carries the scaled weights ``lambda_min**(-alpha) * w_j``; the exact
 reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)`` and
-:func:`exp_kron_apply` uses ``F = exp(t * sum_i Lambda_i)``.  Every path takes
-that one ``F``: dense tensors are rotated by
-:func:`fracsum.tensors.multi_mode_product` around ``F`` densified; CP and
-Tucker factors are rotated once, scaled term by term along their mode index
-by the factors of ``F``, and rotated back; tensor-train carriages are rotated
-once, multiplied entrywise by ``F`` written as a train, and rotated back.  So
-the construction maps verbatim onto those formats and yields the rank growth
+:func:`exp_kron_apply` uses ``F = exp(t * sum_i Lambda_i)``.  A path supplies
+only its entrywise product with ``F``: dense tensors multiply ``F``
+densified; CP and Tucker factors are scaled term by term along their mode
+index by the factors of ``F`` (Tucker re-orthogonalizes the stack by QR);
+tensor trains are multiplied by ``F`` written as a compressed train.  So the
+construction maps verbatim onto those formats and yields the rank growth
 certificates checked in the test suite.  All paths share one report builder.
 Non-finite input fails with a ``ValueError``: factors at construction, and a
 right-hand side whose norm is not finite at the start of a solve.
@@ -48,11 +49,11 @@ from .tensors import (
     TTTensor,
     TuckerTensor,
     _check_memory,
+    _check_nonnegative,
     _cp_to_tt,
     _tt_hadamard_round,
     mode_product,
     multi_mode_product,
-    tt_mode_product,
     tt_norm,
     tt_round,  # unused here; the benchmark's tracer test reads fracsum.solver.tt_round
 )
@@ -200,10 +201,15 @@ def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
     return CPTensor(tuple(factors))
 
 
-def _filter(ks: KroneckerSum, c: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    """``Q (filt * Q^T c)``: a diagonal filter on the joint eigenbasis applied to ``c``."""
+def _in_eigenbasis(ks: KroneckerSum, c, step):
+    """``Q step(Q^T c)``: rotate ``c`` into the joint eigenbasis, apply ``step`` there, rotate back.
+
+    ``step`` is a path's entrywise product with its diagonal filter; ``c`` and
+    its result may have any format :func:`multi_mode_product` takes.  This is
+    the only reader of the eigenvectors.
+    """
     qs = [q for _, q in ks.spectra]
-    return multi_mode_product(filt * multi_mode_product(c, [q.T for q in qs]), qs)
+    return multi_mode_product(step(multi_mode_product(c, [q.T for q in qs])), qs)
 
 
 def _eigenvalue_sums(ks: KroneckerSum) -> np.ndarray:
@@ -211,19 +217,9 @@ def _eigenvalue_sums(ks: KroneckerSum) -> np.ndarray:
     return reduce(np.add.outer, [lam for lam, _ in ks.spectra])
 
 
-def _stacked_factors(ks: KroneckerSum, decays, factors) -> list:
-    """Per mode, ``[E_i1 U_i ... E_iN U_i]`` as one ``n_i x (N r)`` block.
-
-    ``E_ij`` is the diagonal of column ``j`` of ``decays[i]``, the filter's
-    factor ``i`` (see :func:`_sum_filter`).  ``U_i`` is rotated into the
-    eigenbasis once; each term scales the rows of the rotated factor, and the
-    stack of all terms is rotated back at once.
-    """
-    blocks = []
-    for (_, q), decay, u in zip(ks.spectra, decays, factors):
-        y = q.T @ u
-        blocks.append(q @ (decay[:, :, None] * y[:, None, :]).reshape(len(decay), -1))
-    return blocks
+def _face_split_factors(filt: CPTensor, factors) -> list:
+    """Per mode, ``[E_i1 U_i ... E_iN U_i]``, ``E_ij`` the diagonal of column ``j`` of the filter's factor ``i``."""
+    return [(f[:, :, None] * u[:, None, :]).reshape(len(f), -1) for f, u in zip(filt.factors, factors)]
 
 
 def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -241,7 +237,8 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = D
     _check_memory(c.size, memory_cap, "dense solve")
     start = _start(ks)
     cnorm = _finite_norm(float(np.linalg.norm(c)))
-    x = _filter(ks, c, _sum_filter(ks, es).to_dense())
+    # memory_cap bounds c; the filter's Khatri-Rao operands get at least the default cap
+    x = _in_eigenbasis(ks, c, lambda y: _sum_filter(ks, es).to_dense(max(memory_cap, DEFAULT_MEMORY_CAP)) * y)
     return x, _report(ks, es, start, cnorm)
 
 
@@ -256,7 +253,7 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     ks._check_shape(c.shape)
     start = _start(ks)
     cnorm = _finite_norm(_cp_norm(c))
-    result = CPTensor(tuple(_stacked_factors(ks, _sum_filter(ks, es).factors, c.factors)))
+    result = _in_eigenbasis(ks, c, lambda y: CPTensor(tuple(_face_split_factors(_sum_filter(ks, es), y.factors))))
     return result, _report(ks, es, start, cnorm, ranks=(result.rank,))
 
 
@@ -270,8 +267,9 @@ def _cp_norm(c: CPTensor) -> float:
 def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     """Inverse fractional power of a Tucker right-hand side.
 
-    The stacked per-term factors are re-orthogonalized by QR, so the result
-    is a valid Tucker tensor with multilinear ranks at most
+    In the eigenbasis the stacked per-term factors are re-orthogonalized by
+    QR, and only the orthonormal bases are rotated back, so the result is a
+    valid Tucker tensor with multilinear ranks at most
     ``min(n_terms * rank_i, n_i)``.
 
     The new core ``sum_j C x_1 R_1j ... x_d R_dj`` (``R_ij``: blocks of the
@@ -284,22 +282,27 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     start = _start(ks)
     # the factors are orthonormal, so the core carries the norm
     cnorm = _finite_norm(float(np.linalg.norm(c.core)))
-    qs, r_blocks = zip(*(np.linalg.qr(b) for b in _stacked_factors(ks, _sum_filter(ks, es).factors, c.factors)))
-    # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
-    r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
-    ranks = tuple(len(b) for b in r_blocks)
-    chunk = max(1, ranks[-1] // c.ranks[-1])
-    core = np.zeros((np.prod(ranks[:-1], dtype=int), ranks[-1]))
-    for lo in range(0, es.n_terms, chunk):
-        terms = slice(lo, min(lo + chunk, es.n_terms))
-        x = np.broadcast_to(c.core, (terms.stop - lo,) + c.core.shape)
-        for b in r_blocks[:-1]:
-            # contract axis 1 with each term's block; its new index becomes the last axis
-            m = np.matmul(x.reshape(*x.shape[:2], -1).transpose(0, 2, 1), b[:, terms].transpose(1, 2, 0))
-            x = m.reshape(x.shape[:1] + x.shape[2:] + (len(b),))
-        last = r_blocks[-1][:, terms].transpose(1, 2, 0).reshape(-1, ranks[-1])
-        core += x.reshape(len(last), -1).T @ last
-    result = TuckerTensor(core=core.reshape(ranks), factors=qs)
+    filt = _sum_filter(ks, es)
+
+    def combine(y: TuckerTensor) -> TuckerTensor:
+        qs, r_blocks = zip(*(np.linalg.qr(b) for b in _face_split_factors(filt, y.factors)))
+        # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
+        r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
+        ranks = tuple(len(b) for b in r_blocks)
+        chunk = max(1, ranks[-1] // y.ranks[-1])
+        core = np.zeros((np.prod(ranks[:-1], dtype=int), ranks[-1]))
+        for lo in range(0, es.n_terms, chunk):
+            terms = slice(lo, min(lo + chunk, es.n_terms))
+            x = np.broadcast_to(y.core, (terms.stop - lo,) + y.core.shape)
+            for b in r_blocks[:-1]:
+                # contract axis 1 with each term's block; its new index becomes the last axis
+                m = np.matmul(x.reshape(*x.shape[:2], -1).transpose(0, 2, 1), b[:, terms].transpose(1, 2, 0))
+                x = m.reshape(x.shape[:1] + x.shape[2:] + (len(b),))
+            last = r_blocks[-1][:, terms].transpose(1, 2, 0).reshape(-1, ranks[-1])
+            core += x.reshape(len(last), -1).T @ last
+        return TuckerTensor(core=core.reshape(ranks), factors=qs)
+
+    result = _in_eigenbasis(ks, c, combine)
     return result, _report(ks, es, start, cnorm, ranks=result.ranks)
 
 
@@ -332,24 +335,15 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     rounding, is outside ``error_bound``.
     """
     ks._check_shape(c.shape)
-    if not 0.0 <= round_tol < math.inf:
-        raise ValueError(f"round_tol must be finite and nonnegative, got {round_tol}")
+    _check_nonnegative(round_tol, "round_tol")
     start = _start(ks)
     cnorm = _finite_norm(tt_norm(c))
-    qs = [q for _, q in ks.spectra]
-    rotated = _tt_mode_products(c, [q.T for q in qs])
     # per-step threshold of the filter; times ||c||, that of the product
     delta = 0.5 * (es.n_terms - 1) * round_tol / math.sqrt(c.ndim - 1)
-    x = _tt_hadamard_round(_cp_to_tt(_sum_filter(ks, es).factors, delta), rotated, delta * cnorm)
-    x = _tt_mode_products(x, qs)
+    filt = _cp_to_tt(_sum_filter(ks, es).factors, delta)
+    x = _in_eigenbasis(ks, c, lambda y: _tt_hadamard_round(filt, y, delta * cnorm))
     allowance = (es.n_terms - 1) * round_tol * cnorm
     return x, _report(ks, es, start, cnorm, ranks=x.ranks, allowance=allowance)
-
-
-def _tt_mode_products(x: TTTensor, mats) -> TTTensor:
-    for i, m in enumerate(mats):
-        x = tt_mode_product(x, i, m)
-    return x
 
 
 def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
@@ -363,11 +357,10 @@ def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int 
     """
     c = np.asarray(c, dtype=float)
     ks._check_shape(c.shape)
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    _check_nonnegative(alpha, "alpha")
     _check_memory(c.size, memory_cap, "dense oracle")
     _finite_norm(float(np.linalg.norm(c)))
-    return _filter(ks, c, _eigenvalue_sums(ks) ** (-alpha))
+    return _in_eigenbasis(ks, c, lambda y: _eigenvalue_sums(ks) ** (-alpha) * y)
 
 
 def exp_kron_apply(ks: KroneckerSum, c: np.ndarray, t: float) -> np.ndarray:
@@ -379,4 +372,4 @@ def exp_kron_apply(ks: KroneckerSum, c: np.ndarray, t: float) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float)
     ks._check_shape(c.shape)
-    return _filter(ks, c, np.exp(t * _eigenvalue_sums(ks)))
+    return _in_eigenbasis(ks, c, lambda y: np.exp(t * _eigenvalue_sums(ks)) * y)

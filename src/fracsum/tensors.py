@@ -6,8 +6,10 @@ convention the mode-1 product of a matrix with a d = 2 tensor is the
 ordinary product ``A @ X``, and the mode-i product acts on the linearized
 tensor as the Kronecker-structured matrix whose non-identity factor sits in
 position i counted from the right.
-:func:`multi_mode_product` is the one kernel for a matrix along every mode:
-the solver's rotations, Tucker densification and the HOSVD core use it.
+:func:`multi_mode_product` is the one kernel for a matrix along every mode,
+in every format: dense tensors by one matrix product per mode, CP and Tucker
+tensors by multiplying their factors, trains through :func:`tt_mode_product`.
+The solver's rotations, Tucker densification and the HOSVD core use it.
 
 Formats:
 
@@ -33,7 +35,7 @@ Every dense path that could outgrow memory, here and in the solver, raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +70,12 @@ def _check_memory(entries: int, memory_cap: int, path: str) -> None:
         raise MemoryCapError(f"{path} needs {entries} entries, cap is {memory_cap}")
 
 
+def _check_nonnegative(value: float, name: str) -> None:
+    """Raise a one-line ``ValueError`` unless ``value`` is finite and nonnegative (NaN fails too)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # dense tensors
 # ---------------------------------------------------------------------------
@@ -98,19 +106,30 @@ def mode_product(x: np.ndarray, mode: int, a: np.ndarray) -> np.ndarray:
     return np.moveaxis(y, -1, mode)
 
 
-def multi_mode_product(x: np.ndarray, mats) -> np.ndarray:
-    """``x x_1 mats[0] ... x_d mats[d-1]``: exactly one matrix per mode.
+def multi_mode_product(x, mats):
+    """``x x_1 mats[0] ... x_d mats[d-1]`` in any format: exactly one matrix per mode.
 
-    Each step contracts the leading axis by one matrix product on a reshaped
-    view and appends the result as the last axis, so after ``d`` steps the
-    modes are back in order.  Equal to the chain of :func:`mode_product` calls.
+    Dense: each step contracts the leading axis by one matrix product on a
+    reshaped view and appends the result as the last axis, so after ``d``
+    steps the modes are back in order.  CP and Tucker tensors multiply their
+    factors (Tucker factors must stay orthonormal), trains call
+    :func:`tt_mode_product` per mode.
     """
-    x = np.asarray(x)
-    if len(mats) != x.ndim:
-        raise ValueError(f"need one matrix per mode: got {len(mats)} for a {x.ndim}-way tensor")
-    for i, a in enumerate(map(np.asarray, mats)):
-        if a.ndim != 2 or a.shape[1] != x.shape[0]:
-            raise ValueError(f"matrix of shape {a.shape} does not match mode {i} of extent {x.shape[0]}")
+    if not isinstance(x, (CPTensor, TuckerTensor, TTTensor)):
+        x = np.asarray(x)
+    mats = [np.asarray(a) for a in mats]
+    if len(mats) != len(x.shape):
+        raise ValueError(f"need one matrix per mode: got {len(mats)} for a {len(x.shape)}-way tensor")
+    for i, (a, n) in enumerate(zip(mats, x.shape)):
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"matrix of shape {a.shape} does not match mode {i} of extent {n}")
+    if isinstance(x, (CPTensor, TuckerTensor)):
+        return replace(x, factors=tuple(a @ f for a, f in zip(mats, x.factors)))
+    if isinstance(x, TTTensor):
+        for i, a in enumerate(mats):
+            x = tt_mode_product(x, i, a)
+        return x
+    for a in mats:
         x = (x.reshape(x.shape[0], -1).T @ a.T).reshape(x.shape[1:] + (a.shape[0],))
     return x
 
@@ -148,15 +167,19 @@ class CPTensor:
     def from_rank1(cls, vectors) -> "CPTensor":
         return cls(tuple(np.asarray(v, dtype=float).reshape(-1, 1) for v in vectors))
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
         """Densify with one matrix product.
 
         The Khatri-Rao products of the leading ``h = d // 2`` and the trailing
         modes, each over its modes in reverse so that its rows run in C order,
-        meet in one GEMM.  The largest temporary is the trailing operand,
-        ``prod(n[h:]) x rank``; no ``prod(n) x rank`` array is formed.
+        meet in one GEMM; no ``prod(n) x rank`` array is formed.  Raises
+        :class:`MemoryCapError` first when the result or an operand,
+        ``prod(n[:h]) x rank`` or ``prod(n[h:]) x rank``, has more than
+        ``memory_cap`` entries.
         """
         h = len(self.factors) // 2
+        n, k = self.shape, self.rank
+        _check_memory(max(math.prod(n), math.prod(n[:h]) * k, math.prod(n[h:]) * k), memory_cap, "CP densification")
         lead = _khatri_rao(self.factors[:h][::-1]) if h else np.ones((1, self.rank))
         return (lead @ _khatri_rao(self.factors[h:][::-1]).T).reshape(self.shape)
 
@@ -289,7 +312,9 @@ class TuckerTensor:
     def shape(self) -> tuple:
         return tuple(f.shape[0] for f in self.factors)
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
+        """The dense tensor; raises :class:`MemoryCapError` first when it has more than ``memory_cap`` entries."""
+        _check_memory(math.prod(self.shape), memory_cap, "Tucker densification")
         return multi_mode_product(self.core, self.factors)
 
 
@@ -309,6 +334,8 @@ def hosvd(x: np.ndarray, ranks=None, tol: float | None = None) -> TuckerTensor:
     x = np.asarray(x, dtype=float)
     if (ranks is None) == (tol is None):
         raise ValueError("pass exactly one of ranks and tol")
+    if tol is not None:
+        _check_nonnegative(tol, "tol")
     d = x.ndim
     if ranks is not None and np.isscalar(ranks):
         ranks = (int(ranks),) * d
@@ -410,8 +437,7 @@ def tt_svd(x: np.ndarray, tol: float = 0.0, max_rank: int | None = None) -> TTTe
     rank on top of that.
     """
     x = np.asarray(x, dtype=float)
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    _check_nonnegative(tol, "tol")
     d = x.ndim
     if d < 2:
         raise ValueError("tensor trains need at least two modes")
@@ -488,8 +514,7 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
     zero only singular values below the noise floor
     ``len(s)*eps*s[0]`` of a step are cut.
     """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    _check_nonnegative(tol, "tol")
     cores = _as_cores(x)
     delta = tol / math.sqrt(x.ndim - 1)
     return _round_cores(lambda k, rows: cores[k][:, rows], x.shape, delta, relative=True)

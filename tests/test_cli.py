@@ -186,6 +186,18 @@ class TestTTHighD:
         err = capsys.readouterr().err
         assert "round_tol must be finite" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("round_tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", [["tt-highd", "--d", 3, "--n", 4], ["poisson", "--d", 3, "--n", 4, "--format", "tt"]])
+    def test_round_tol_checked_before_any_setup(self, tmp_path, round_tol, command, capsys, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("the command built its sum or oracle before checking --round-tol")
+
+        monkeypatch.setattr(fracsum.cli, "best_expsum", reached)
+        monkeypatch.setattr(fracsum.cli, "oracle_apply", reached)
+        assert run(command + ["--round-tol", round_tol, "--out", tmp_path / "x.dat"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fracsum: round_tol must be finite and nonnegative") and err.count("\n") == 1
+
 
 def _package_env():
     """The environment with the import path of the running suite, so a subprocess imports the package under test."""

@@ -1,7 +1,6 @@
 """Exponential-sum construction, evaluation and certified bounds."""
 
 import copy
-import dataclasses
 import functools
 import math
 import pickle
@@ -113,19 +112,15 @@ class TestSelectParams:
     def test_params_invariants_enforced(self):
         p = select_params(0.25, 1e-8)
         with pytest.raises(ValueError):
-            ExpSumParams(p.alpha, p.eps, p.d, p.h, p.n_minus - 1, p.n_plus, p.beta)
+            ExpSumParams(p.alpha, p.eps, p.d, p.h, p.n_minus - 1, p.n_plus)
         with pytest.raises(ValueError):
-            ExpSumParams(p.alpha, p.eps, p.d, p.h * 1.01, p.n_minus, p.n_plus, p.beta)
+            ExpSumParams(p.alpha, p.eps, p.d, p.h * 1.01, p.n_minus, p.n_plus)
         with pytest.raises(ValueError):
-            ExpSumParams(p.alpha, p.eps, p.d * 2.0, p.h, p.n_minus, p.n_plus, p.beta)
-        # beta enters the n_plus minimum as a divisor and under a fractional power
-        for beta in (0.0, -0.5):
-            with pytest.raises(ValueError, match="beta must be finite and positive"):
-                dataclasses.replace(select_params(0.5, 1e-6), beta=beta)
+            ExpSumParams(p.alpha, p.eps, p.d * 2.0, p.h, p.n_minus, p.n_plus)
         # t_{-190} = log1p(exp(-190))**4 underflows to 0 at h = 1
         d = math.pi * 0.25 / 8.0
         with pytest.raises(ValueError, match="positive normal"):
-            ExpSumParams(0.25, math.exp(-2.0 * math.pi * d), d, 1.0, 190, 1, math.cos(8.0 * d))
+            ExpSumParams(0.25, math.exp(-2.0 * math.pi * d), d, 1.0, 190, 1)
 
 
 class TestParamsForTerms:
@@ -317,7 +312,7 @@ class TestBounds:
         beta = math.cos(2.0 * d / alpha)
         n_minus = math.ceil(2.0 * math.pi * d / h**2)
         n_plus = math.ceil((2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / beta) ** alpha)
-        p = ExpSumParams(alpha, eps, d, h, n_minus, n_plus, beta)
+        p = ExpSumParams(alpha, eps, d, h, n_minus, n_plus)
         first_form = (strip_norm_bound(0.5, 1.0) + 1.0 / p.h + 1.0 / (p.beta * p.h**2)) * p.eps
         assert total_error_bound(p) == pytest.approx(first_form, rel=1e-14)
 

@@ -118,6 +118,36 @@ class TestModeProduct:
             multi_mode_product(x, mats[:2] + [rand((6, 5), 20), mats[3]])
 
 
+def formatted(kind, shape, seed):
+    """A CP, Tucker or tensor-train tensor of the given shape."""
+    if kind == "cp":
+        return CPTensor(tuple(rand((n, 3), seed + i) for i, n in enumerate(shape)))
+    if kind == "tucker":
+        return TuckerTensor(rand((2,) * len(shape), seed), tuple(random_orthonormal(n, 2, seed + i) for i, n in enumerate(shape)))
+    return rand_tt(shape, (2,) * (len(shape) - 1), seed)
+
+
+class TestMultiModeProductFormats:
+    @pytest.mark.parametrize("kind", ["cp", "tucker", "tt"])
+    def test_equals_densify_then_multiply(self, kind):
+        x = formatted(kind, (4, 5, 3), 40)
+        # matrices with orthonormal columns keep Tucker factors orthonormal; they also change the extents
+        mats = [random_orthonormal(m, n, 50 + i) for i, (m, n) in enumerate(zip((6, 5, 4), x.shape))]
+        y = multi_mode_product(x, mats)
+        assert type(y) is type(x) and y.shape == (6, 5, 4)
+        dense = multi_mode_product(x.to_dense(), mats)
+        np.testing.assert_allclose(y.to_dense(), dense, rtol=0, atol=1e-13 * np.linalg.norm(dense))
+
+    @pytest.mark.parametrize("kind", ["cp", "tucker", "tt"])
+    def test_one_line_error_for_a_wrong_count_or_extent(self, kind):
+        x = formatted(kind, (4, 5, 3), 41)
+        mats = [np.eye(n) for n in x.shape]
+        with pytest.raises(ValueError, match=r"^need one matrix per mode: got 2 for a 3-way tensor$"):
+            multi_mode_product(x, mats[:2])
+        with pytest.raises(ValueError, match=r"^matrix of shape \(5, 6\) does not match mode 1 of extent 5$"):
+            multi_mode_product(x, [mats[0], np.eye(5, 6), mats[2]])
+
+
 class TestHosvd:
     def test_exact_recovery_of_constructed_tucker(self):
         core = rand((2, 3, 2), 1)
@@ -160,6 +190,17 @@ class TestHosvd:
             hosvd(x)
         with pytest.raises(ValueError):
             hosvd(x, ranks=(2, 2), tol=1e-8)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_a_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+            hosvd(rand((3, 4, 3), 1), tol=tol)
+
+    def test_to_dense_memory_cap(self):
+        t = TuckerTensor(rand((2, 2, 2), 1), tuple(random_orthonormal(n, 2, 2 + i) for i, n in enumerate((3, 4, 5))))
+        with pytest.raises(MemoryCapError, match="Tucker densification needs 60 entries"):
+            t.to_dense(memory_cap=59)
+        np.testing.assert_allclose(t.to_dense(memory_cap=60), multi_mode_product(t.core, t.factors), rtol=1e-15)
 
 
 class TestTTSvd:
@@ -233,6 +274,14 @@ class TestTTArithmetic:
         with pytest.raises(MemoryCapError):
             t.to_dense(memory_cap=10)
         np.testing.assert_allclose(t.to_dense(memory_cap=64), x, atol=1e-13)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_round_and_svd_reject_a_bad_tolerance(self, tol):
+        x = rand((3, 4, 3), 11)
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+            tt_svd(x, tol=tol)
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+            tt_round(tt_svd(x, tol=0.0), tol)
 
 
 class TestTTRound:
@@ -409,12 +458,6 @@ class TestRankSubadditivity:
         rs = numerical_multilinear_ranks(x + z)
         assert all(r <= a + b for r, a, b in zip(rs, rx, rz))
 
-    def test_tt_ranks_of_sum(self):
-        x = tt_svd(rand((5, 5, 5), 3), tol=1e-1)
-        y = tt_svd(rand((5, 5, 5), 4), tol=1e-1)
-        s = tt_add(x, y)
-        assert s.ranks == tuple(a + b for a, b in zip(x.ranks, y.ranks))
-
 
 class TestCP:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -424,6 +467,13 @@ class TestCP:
         letters = "abcde"[:d]
         spec = ",".join(f"{a}z" for a in letters) + "->" + letters
         np.testing.assert_allclose(CPTensor(factors).to_dense(), np.einsum(spec, *factors), rtol=1e-13, atol=1e-13)
+
+    def test_to_dense_memory_cap(self):
+        # the trailing Khatri-Rao operand, 4*4 rows by rank 10, outgrows the 4*4*4 result
+        t = CPTensor(tuple(rand((4, 10), i) for i in range(3)))
+        with pytest.raises(MemoryCapError, match="CP densification needs 160 entries"):
+            t.to_dense(memory_cap=159)
+        assert t.to_dense(memory_cap=160).shape == (4, 4, 4)
 
     def test_als_recovers_rank_one(self):
         x = CPTensor.from_rank1([rand(5, 1), rand(6, 2), rand(4, 3)]).to_dense()
