@@ -187,7 +187,7 @@ class TestTTHighD:
         assert "round_tol must be finite" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("round_tol", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("command", [["tt-highd", "--d", 3, "--n", 4], ["poisson", "--d", 3, "--n", 4, "--format", "tt"]])
+    @pytest.mark.parametrize("command", [["tt-highd", "--d", 3], ["poisson", "--d", 3, "--format", "tt"]])
     def test_round_tol_checked_before_any_setup(self, tmp_path, round_tol, command, capsys, monkeypatch):
         def reached(*args, **kwargs):
             raise AssertionError("the command built its sum or oracle before checking --round-tol")

@@ -123,7 +123,8 @@ def formatted(kind, shape, seed):
     if kind == "cp":
         return CPTensor(tuple(rand((n, 3), seed + i) for i, n in enumerate(shape)))
     if kind == "tucker":
-        return TuckerTensor(rand((2,) * len(shape), seed), tuple(random_orthonormal(n, 2, seed + i) for i, n in enumerate(shape)))
+        factors = tuple(random_orthonormal(n, 2, seed + i) for i, n in enumerate(shape))
+        return TuckerTensor(rand((2,) * len(shape), seed), factors)
     return rand_tt(shape, (2,) * (len(shape) - 1), seed)
 
 
