@@ -25,7 +25,8 @@ reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)`` and
 only its entrywise product with ``F``: dense tensors multiply ``F``
 densified; CP and Tucker factors are scaled term by term along their mode
 index by the factors of ``F`` (Tucker re-orthogonalizes the stack by QR);
-tensor trains are multiplied by ``F`` written as a compressed train.  So the
+tensor trains are multiplied by ``F`` written as a compressed train, which
+the operator keeps for the next solve with the same sum.  So the
 construction maps verbatim onto those formats and yields the rank growth
 certificates checked in the test suite.  All paths share one report builder.
 Non-finite input fails with a ``ValueError``: factors at construction, and a
@@ -74,9 +75,13 @@ __all__ = [
 class KroneckerSum:
     """Ordered symmetric positive definite factors of a Kronecker sum.
 
-    Eigendecompositions are computed once on first use and shared by every
-    solve; positive definiteness is checked at that point.  Finite entries
-    and symmetry are checked eagerly at construction.
+    Work that depends only on the operator is done once and shared by every
+    solve.  The eigendecompositions are computed on first use, and positive
+    definiteness is checked at that point.  The last filter train of
+    :func:`solve_tt` is kept for its sum and threshold, one entry at a time.
+    Finite entries and symmetry are checked eagerly at construction.  The
+    factors, eigenvalues and eigenvectors are read-only copies, so neither
+    cache can go stale.
     """
 
     def __init__(self, factors):
@@ -91,7 +96,10 @@ class KroneckerSum:
             scale = np.max(np.abs(a))
             if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
                 raise ValueError(f"factor {i} is not symmetric")
+            a.flags.writeable = False
         self._factors = factors
+        # (es, delta, train) of the last solve_tt; holding es keeps its id from being reused
+        self._tt_filter_memo = None
 
     @property
     def factors(self) -> tuple:
@@ -113,6 +121,7 @@ class KroneckerSum:
             lam, q = np.linalg.eigh(a)
             if lam[0] <= 0.0:
                 raise ValueError(f"factor {i} is not positive definite (min eigenvalue {lam[0]:g})")
+            lam.flags.writeable = q.flags.writeable = False
             out.append((lam, q))
         return tuple(out)
 
@@ -145,6 +154,8 @@ class SolveReport:
     eigendecompositions as exact: their backward error, ``O(u*||A_i||)`` per
     factor for the unit roundoff ``u``, is outside the bound.  ``wall_time``
     does not include that eigendecomposition, which runs once per operator.
+    It does include building the train path's filter train, which runs once
+    per operator, sum and threshold: later train solves reuse it.
     ``ranks`` is the format-specific rank vector of the result (empty for
     dense results).
     """
@@ -199,6 +210,21 @@ def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
     factors = [np.exp(-np.outer(lam / lam_min, es.exponents)) for lam, _ in ks.spectra]
     factors[0] = factors[0] * (_scale(ks, es) * es.weights)
     return CPTensor(tuple(factors))
+
+
+def _tt_filter(ks: KroneckerSum, es: ExpSum, delta: float) -> TTTensor:
+    """The filter of ``es`` as a train rounded at per-step threshold ``delta``, built once per ``(es, delta)``.
+
+    ``ks`` keeps the last train it built.  The entry is one tuple, read and
+    replaced whole, so concurrent solves can only rebuild it, never see a
+    train of another sum or threshold.
+    """
+    memo = ks._tt_filter_memo
+    if memo is not None and memo[0] is es and memo[1] == delta:
+        return memo[2]
+    filt = _cp_to_tt(_sum_filter(ks, es).factors, delta)
+    ks._tt_filter_memo = (es, delta, filt)
+    return filt
 
 
 def _in_eigenbasis(ks: KroneckerSum, c, step):
@@ -333,6 +359,11 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     term) the allowance is zero and both roundings cut only singular values
     below their noise floor; that cut, like any other floating-point
     rounding, is outside ``error_bound``.
+
+    ``F_delta`` depends only on the operator, the sum and ``round_tol``, never
+    on ``c``.  The first solve with a given sum and threshold builds it, and
+    its ``wall_time`` includes that; later solves on the same operator reuse
+    it.  The operator keeps one such train, for the last sum and threshold.
     """
     ks._check_shape(c.shape)
     _check_nonnegative(round_tol, "round_tol")
@@ -340,7 +371,7 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     cnorm = _finite_norm(tt_norm(c))
     # per-step threshold of the filter; times ||c||, that of the product
     delta = 0.5 * (es.n_terms - 1) * round_tol / math.sqrt(c.ndim - 1)
-    filt = _cp_to_tt(_sum_filter(ks, es).factors, delta)
+    filt = _tt_filter(ks, es, delta)
     x = _in_eigenbasis(ks, c, lambda y: _tt_hadamard_round(filt, y, delta * cnorm))
     allowance = (es.n_terms - 1) * round_tol * cnorm
     return x, _report(ks, es, start, cnorm, ranks=x.ranks, allowance=allowance)

@@ -1,5 +1,6 @@
 """Property tests: every solve stays within the bound it reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,8 +37,11 @@ def problems(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(problems())
-def test_dense_and_tt_solves_within_reported_bound(p):
+@given(problems(), st.integers(5, 60))
+def test_dense_and_tt_solves_within_reported_bound(p, other_terms):
+    """The train route solves with two sums on one operator, interleaved so that
+    the kept filter train is both reused and rebuilt; every solve is within its
+    bound and replays the first solve with its sum bit for bit."""
     rng = np.random.default_rng(p["seed"])
     ks = KroneckerSum([random_spd(rng, n, p["spread"]) for n in p["shape"]])
     c = rng.standard_normal(p["shape"])
@@ -45,8 +49,14 @@ def test_dense_and_tt_solves_within_reported_bound(p):
     ref = oracle_apply(ks, c, p["alpha"])
     x, report = solve_dense(ks, c, es)
     assert np.linalg.norm(x - ref) <= report.error_bound
-    x, report = solve_tt(ks, tt_svd(c, tol=0.0), es, round_tol=p["round_tol"])
-    assert np.linalg.norm(x.to_dense() - ref) <= report.error_bound
+    c_tt = tt_svd(c, tol=0.0)
+    sums = (es, build_expsum(params_for_terms(p["alpha"], other_terms)))
+    first = {}
+    for k in (0, 1, 1, 0):
+        x, report = solve_tt(ks, c_tt, sums[k], round_tol=p["round_tol"])
+        assert np.linalg.norm(x.to_dense() - ref) <= report.error_bound
+        got = ([car.tobytes() for car in x.carriages], dataclasses.replace(report, wall_time=0.0))
+        assert first.setdefault(k, got) == got
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

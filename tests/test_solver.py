@@ -1,6 +1,9 @@
 """Kronecker-sum solver: format paths, oracle and bounds."""
 
+import dataclasses
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from fracsum.expsum import (
     select_params,
     total_error_bound,
 )
+from fracsum import solver
 from fracsum.problems import Grid1D, RhsSpec, laplacian_1d, sample_rhs
 from fracsum.solver import (
     KroneckerSum,
@@ -60,6 +64,19 @@ class TestKroneckerSum:
         ks = KroneckerSum(factors)
         c = rng.standard_normal((2, 3, 4))
         np.testing.assert_allclose(vec(ks.apply(c)), kron_sum_matrix(factors) @ vec(c), atol=1e-12)
+
+    def test_factors_and_spectra_are_read_only(self):
+        rng = np.random.default_rng(2)
+        a = random_spd(rng, 3)
+        ks = KroneckerSum([a, a])
+        with pytest.raises(ValueError):
+            ks.factors[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ks.spectra[0][1][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ks.spectra[1][0][0] = 1.0
+        a[0, 0] += 1.0  # the operator holds a copy
+        assert not np.array_equal(ks.factors[0], a)
 
 
 class TestSolveDense:
@@ -291,6 +308,73 @@ class TestSolveTT:
         ref = oracle_apply(ks, c_dense, 0.5)
         err = np.linalg.norm(x.to_dense() - ref)
         assert err <= report.error_bound
+
+
+def _same_tt_solve(got, want) -> bool:
+    """Whether two ``solve_tt`` results have bit-identical carriages and reports, ``wall_time`` aside."""
+    (x, report), (y, ref) = got, want
+    return (
+        len(x.carriages) == len(y.carriages)
+        and all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(x.carriages, y.carriages))
+        and dataclasses.replace(report, wall_time=0.0) == dataclasses.replace(ref, wall_time=0.0)
+    )
+
+
+class TestTTFilterMemo:
+    """``solve_tt`` builds the filter train once per operator, sum and threshold."""
+
+    @pytest.fixture
+    def setup(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        factors = [random_spd(rng, n) for n in (4, 5, 3, 4)]
+        c = tt_svd(rng.standard_normal((4, 5, 3, 4)), tol=0.0)
+        calls = []
+        cp_to_tt = solver._cp_to_tt
+
+        def counted(*args):
+            calls.append(args)
+            return cp_to_tt(*args)
+
+        monkeypatch.setattr(solver, "_cp_to_tt", counted)
+        return factors, c, calls
+
+    def test_repeated_solve_reuses_the_train(self, setup):
+        factors, c, calls = setup
+        ks = KroneckerSum(factors)
+        es = build_expsum(params_for_terms(0.5, 40))
+        first = solve_tt(ks, c, es, round_tol=1e-10)
+        again = solve_tt(ks, c, es, round_tol=1e-10)
+        assert len(calls) == 1
+        assert _same_tt_solve(again, first)
+        assert _same_tt_solve(again, solve_tt(KroneckerSum(factors), c, es, round_tol=1e-10))
+
+    def test_interleaved_sums_and_thresholds_match_a_fresh_operator(self, setup):
+        factors, c, calls = setup
+        ks = KroneckerSum(factors)
+        es1, es2 = (build_expsum(params_for_terms(0.5, n)) for n in (30, 50))
+        steps = [(es1, 1e-10), (es2, 1e-10), (es1, 1e-10), (es1, 1e-6), (es1, 1e-6), (es2, 1e-6), (es1, 1e-10)]
+        rebuilds, last = 0, (None, None)
+        for es, round_tol in steps:
+            rebuilds += last[0] is not es or last[1] != round_tol
+            last = (es, round_tol)
+            got = solve_tt(ks, c, es, round_tol=round_tol)
+            assert len(calls) == rebuilds
+            want = solve_tt(KroneckerSum(factors), c, es, round_tol=round_tol)
+            calls.pop()  # the fresh operator's build
+            assert _same_tt_solve(got, want)
+
+    def test_holds_only_the_last_sum(self, setup):
+        factors, c, _ = setup
+        ks = KroneckerSum(factors)
+        es1 = build_expsum(params_for_terms(0.5, 30))
+        solve_tt(ks, c, es1)
+        held = weakref.ref(es1)
+        del es1
+        gc.collect()
+        assert held() is not None  # the memo keeps the sum alive, so its id is not reused
+        solve_tt(ks, c, build_expsum(params_for_terms(0.5, 50)))
+        gc.collect()
+        assert held() is None
 
 
 class TestFormatConsistency:
