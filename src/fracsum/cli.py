@@ -14,8 +14,9 @@ Subcommands write whitespace-separated numeric columns without headers
 * ``tt-highd`` -- timing, accuracy and ranks of the train-format solve in
   higher dimensions.
 
-Exit codes: 0 on success, 2 on a configuration error, 3 when a computation
-would exceed the dense-memory cap.
+Exit codes: 0 on success, 2 on a configuration error (any ``ValueError``,
+reported on one line), 3 when a computation would exceed the dense-memory
+cap.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from .expsum import (
     ExpSum,
+    _check_alpha,
     best_expsum,
     build_expsum,
     evaluate,
@@ -53,16 +55,12 @@ from .tensors import CPTensor, _check_memory, _check_nonnegative, cp_als, hosvd,
 XI_GRID = np.logspace(0.0, 6.0, 100)  # evaluation arguments for error sweeps
 
 
-class ConfigError(Exception):
-    """Invalid command configuration; reported one-line, exit code 2."""
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"fracsum: {exc}", file=sys.stderr)
         return 2
     except MemoryCapError as exc:
@@ -160,7 +158,7 @@ def _dump(es: ExpSum, path) -> None:
 def cmd_expsum_convergence(args) -> None:
     alphas = args.alpha or [0.25, 0.75]
     if args.N < 1:
-        raise ConfigError("--N must be positive")
+        raise ValueError("--N must be positive")
     last = None
     for alpha in alphas:
         rows = {}
@@ -173,7 +171,7 @@ def cmd_expsum_convergence(args) -> None:
             rows[params.n_terms] = (params.n_terms, err, total_error_bound(params))
             last = es
         if not rows:
-            raise ConfigError(f"--N {args.N} admits no sum for alpha={alpha}; raise the cap")
+            raise ValueError(f"--N {args.N} admits no sum for alpha={alpha}; raise the cap")
         out = _suffixed(args.out, alpha) if len(alphas) > 1 else args.out
         _write_rows(out, [rows[k] for k in sorted(rows)])
         print(out)
@@ -189,13 +187,12 @@ def _suffixed(path: str, alpha: float) -> str:
 
 def cmd_strip_bound(args) -> None:
     alpha = args.alpha
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     d = math.pi * alpha / 8.0 if args.d is None else args.d
     if not 0.0 < d < math.pi * alpha / 4.0:
-        raise ConfigError(f"strip half-width must satisfy 0 < d < pi*alpha/4 = {math.pi * alpha / 4.0:g}")
+        raise ValueError(f"strip half-width must satisfy 0 < d < pi*alpha/4 = {math.pi * alpha / 4.0:g}")
     if args.xi <= 0.0:
-        raise ConfigError("xi must be positive")
+        raise ValueError("xi must be positive")
     rows = []
     for tau in np.linspace(0.0, args.tau_max, args.points):
         g = abs(integrand_g(complex(tau, d), args.xi, alpha))
@@ -208,9 +205,9 @@ def cmd_strip_bound(args) -> None:
 
 def _poisson_setup(args):
     if not 0.0 < args.alpha <= 1.0:
-        raise ConfigError(f"alpha must be in (0, 1] for this command, got {args.alpha}")
+        raise ValueError(f"alpha must be in (0, 1] for this command, got {args.alpha}")
     if args.d < 1 or args.n < 2:
-        raise ConfigError("need dimension >= 1 and grid size >= 2")
+        raise ValueError("need dimension >= 1 and grid size >= 2")
     _check_memory(args.n ** args.d, args.memory_cap, "oracle")
     grids = [Grid1D(args.n)] * args.d
     ks = KroneckerSum([laplacian_1d(args.n)] * args.d)
@@ -233,7 +230,7 @@ def cmd_poisson(args) -> None:
         return
 
     if args.format == "cp" and not isinstance(rhs, CPTensor):
-        raise ConfigError(f"format cp needs a low-rank rhs kind, not {args.rhs!r}")
+        raise ValueError(f"format cp needs a low-rank rhs kind, not {args.rhs!r}")
     x_ref = oracle_apply(ks, dense, args.alpha, memory_cap=args.memory_cap)
     ref_norm = float(np.linalg.norm(x_ref))
 
@@ -268,9 +265,9 @@ def _parse_lengths(text: str):
     try:
         lengths = [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --sum-lengths {text!r}: {exc}") from None
+        raise ValueError(f"bad --sum-lengths {text!r}: {exc}") from None
     if not lengths or min(lengths) < 3:
-        raise ConfigError("--sum-lengths entries must be integers >= 3")
+        raise ValueError("--sum-lengths entries must be integers >= 3")
     return lengths
 
 
@@ -288,14 +285,13 @@ def _format_solver(ks, rhs, dense, args):
 
 
 def cmd_rank_decay(args) -> None:
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
+    _check_alpha(args.alpha)
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     bad = set(formats) - {"cp", "tucker", "tt"}
     if bad or not formats:
-        raise ConfigError(f"--format must be a nonempty subset of cp,tucker,tt, got {args.format!r}")
+        raise ValueError(f"--format must be a nonempty subset of cp,tucker,tt, got {args.format!r}")
     if args.N < 3:
-        raise ConfigError("--N must be at least 3 (smallest certified sum)")
+        raise ValueError("--N must be at least 3 (smallest certified sum)")
     d = 3
     _check_memory(args.n ** d, args.memory_cap, "rank-decay")
 
@@ -335,10 +331,9 @@ def cmd_rank_decay(args) -> None:
 
 def cmd_tt_highd(args) -> None:
     dims = args.d or [8]
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
+    _check_alpha(args.alpha)
     if min(dims) < 3:
-        raise ConfigError("tt-highd needs dimension >= 3")
+        raise ValueError("tt-highd needs dimension >= 3")
     _check_nonnegative(args.round_tol, "round_tol")
     if args.eps is not None:
         es = build_expsum(select_params(args.alpha, args.eps))
@@ -349,14 +344,11 @@ def cmd_tt_highd(args) -> None:
         grids = [Grid1D(args.n)] * d
         ks = KroneckerSum([laplacian_1d(args.n)] * d)
         rhs = sample_rhs(RhsSpec(kind="inv_linear", d=d), grids, memory_cap=args.memory_cap)
-        if isinstance(rhs, np.ndarray):
-            rhs_tt = tt_svd(rhs, tol=1e-10)
-        else:
-            rhs_tt = rhs
+        rhs_tt = tt_svd(rhs, tol=1e-10) if isinstance(rhs, np.ndarray) else rhs
         x, report = solve_tt(ks, rhs_tt, es, round_tol=args.round_tol)
         if d <= 4 and args.n ** d <= args.memory_cap:
-            dense = rhs if isinstance(rhs, np.ndarray) else rhs.to_dense(memory_cap=args.memory_cap)
-            x_ref = oracle_apply(ks, dense, args.alpha, memory_cap=args.memory_cap)
+            # within the cap sample_rhs returns the dense samples
+            x_ref = oracle_apply(ks, rhs, args.alpha, memory_cap=args.memory_cap)
             err = float(np.linalg.norm(x.to_dense(memory_cap=args.memory_cap) - x_ref) / np.linalg.norm(x_ref))
         else:
             err = math.nan  # reference infeasible; placeholder keeps the column numeric

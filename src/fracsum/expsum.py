@@ -52,6 +52,12 @@ _COS_PI_8 = math.cos(math.pi / 8)
 _COS_PI_4 = math.cos(math.pi / 4)
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise a one-line ``ValueError`` unless ``0 < alpha < 1`` (NaN fails too)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class ExpSumParams:
     """Quadrature configuration for one exponential sum.
@@ -79,8 +85,7 @@ class ExpSumParams:
     n_plus: int
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         d_max = math.pi * self.alpha / 8.0
@@ -171,8 +176,7 @@ def integrand_g(tau, xi: float, alpha: float) -> complex:
         If ``|Im(tau)| >= pi``, where the integrand hits the pole line of the
         denominator and the branch cuts of the logarithm.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     tau = complex(tau)
     if abs(tau.imag) >= math.pi:
         raise ValueError(f"integrand is singular for |Im(tau)| >= pi, got Im = {tau.imag}")
@@ -210,8 +214,7 @@ def select_params(alpha: float, eps: float) -> ExpSumParams:
     -------
     ExpSumParams
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if eps >= 1.0:
@@ -250,8 +253,7 @@ def params_for_terms(alpha: float, n_terms: int) -> ExpSumParams:
 
     The smallest reachable budget is 3 (one term on each side of j = 0).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if n_terms < 3:
         raise ValueError(f"n_terms must be at least 3, got {n_terms}")
     d = math.pi * alpha / 8.0
@@ -324,8 +326,7 @@ def strip_norm_bound(alpha: float, xi: float) -> float:
     Returns ``2*(1 + log 2 + Gamma(alpha+1)/(xi*cos(pi/8))**alpha)``; the
     bound decreases monotonically in ``xi`` toward ``2*(1 + log 2)``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     return 2.0 * (1.0 + math.log(2.0) + math.gamma(alpha + 1.0) / (xi * _COS_PI_8) ** alpha)
 
 
@@ -390,8 +391,7 @@ def best_expsum(alpha: float, n_terms: int) -> ExpSum:
     :class:`ExpSumParams`), that sum is returned instead, so the bound never
     exceeds the one of the a-priori rule.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if n_terms < 3:
         raise ValueError(f"n_terms must be at least 3, got {n_terms}")
     reach_minus = min(_REACH, 600.0 * alpha)

@@ -52,6 +52,7 @@ from .tensors import (
     _check_memory,
     _check_nonnegative,
     _cp_to_tt,
+    _face_split,
     _tt_hadamard_round,
     mode_product,
     multi_mode_product,
@@ -244,8 +245,12 @@ def _eigenvalue_sums(ks: KroneckerSum) -> np.ndarray:
 
 
 def _face_split_factors(filt: CPTensor, factors) -> list:
-    """Per mode, ``[E_i1 U_i ... E_iN U_i]``, ``E_ij`` the diagonal of column ``j`` of the filter's factor ``i``."""
-    return [(f[:, :, None] * u[:, None, :]).reshape(len(f), -1) for f, u in zip(filt.factors, factors)]
+    """Per mode, ``[E_i1 U_i ... E_iN U_i]``, ``E_ij`` the diagonal of column ``j`` of the filter's factor ``i``.
+
+    That is the face-split product of two trains' carriages, each factor
+    taken as a carriage with unit left rank.
+    """
+    return [_face_split(f[None], u[None])[0] for f, u in zip(filt.factors, factors)]
 
 
 def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = DEFAULT_MEMORY_CAP):

@@ -16,7 +16,9 @@ Formats:
 * :class:`CPTensor` -- k rank-one terms, one ``n_i x k`` factor per mode.
 * :class:`TuckerTensor` -- dense core times per-mode orthonormal factors.
 * :class:`TTTensor` -- tensor train; boundary carriages are matrices, the
-  inner ones order-3 arrays.
+  inner ones order-3 arrays.  ``_as_cores`` and ``_from_cores`` are the
+  only code that maps the boundary matrices to order-3 cores with unit
+  boundary ranks and back; everything else reads and writes trains as cores.
 
 Every train is rounded by the two sweeps of ``_sweep_round``, which sees
 the carriages only through contractions and keeps only the triangular
@@ -361,7 +363,9 @@ class TTTensor:
 
     ``carriages[0]`` is ``n_1 x r_1``, the inner carriage ``j`` is
     ``r_j x n_{j+1} x r_{j+1}``, and the last is ``r_{d-1} x n_d``; adjacent
-    rank extents must agree.
+    rank extents must agree.  Apart from this check, only ``_as_cores`` and
+    ``_from_cores`` know that layout: every member and kernel works on the
+    cores they give, ``1 x n_1 x r_1`` to ``r_{d-1} x n_d x 1``.
     """
 
     carriages: tuple
@@ -389,13 +393,11 @@ class TTTensor:
 
     @property
     def shape(self) -> tuple:
-        cars = self.carriages
-        return (cars[0].shape[0],) + tuple(c.shape[1] for c in cars[1:-1]) + (cars[-1].shape[1],)
+        return tuple(c.shape[1] for c in _as_cores(self))
 
     @property
     def ranks(self) -> tuple:
-        cars = self.carriages
-        return (cars[0].shape[1],) + tuple(c.shape[2] for c in cars[1:-1])
+        return tuple(c.shape[2] for c in _as_cores(self)[:-1])
 
     def to_dense(self, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
         """The dense tensor; raises :class:`MemoryCapError` first when it has more than ``memory_cap`` entries."""
@@ -403,16 +405,14 @@ class TTTensor:
         # Row-major pairing throughout: the accumulated rows enumerate the
         # leading indices with the most recent one fastest, which is exactly
         # the C-order layout of the final array.
-        m = self.carriages[0]
-        for c in self.carriages[1:-1]:
+        m = np.ones((1, 1))
+        for c in _as_cores(self):
             r0, n, r1 = c.shape
-            m = m @ c.reshape(r0, n * r1)
-            m = m.reshape(-1, r1)
-        m = m @ self.carriages[-1]
+            m = (m @ c.reshape(r0, n * r1)).reshape(-1, r1)
         return m.reshape(self.shape)
 
 
-def _as_cores(x: TTTensor):
+def _as_cores(x: TTTensor) -> list:
     """View all carriages as order-3 arrays with unit boundary ranks."""
     cars = list(x.carriages)
     cars[0] = cars[0].reshape(1, *cars[0].shape)
@@ -421,6 +421,7 @@ def _as_cores(x: TTTensor):
 
 
 def _from_cores(cores) -> TTTensor:
+    """The train of order-3 ``cores`` with unit boundary ranks; the inverse of :func:`_as_cores`."""
     first = cores[0].reshape(cores[0].shape[1], cores[0].shape[2])
     last = cores[-1].reshape(cores[-1].shape[0], cores[-1].shape[1])
     return TTTensor(tuple([first] + list(cores[1:-1]) + [last]))
@@ -480,27 +481,21 @@ def _truncation_rank(s: np.ndarray, delta: float) -> int:
 def tt_mode_product(x: TTTensor, mode: int, a: np.ndarray) -> TTTensor:
     """Apply a matrix along one mode; only that carriage changes, ranks do not."""
     a = np.asarray(a, dtype=float)
-    d = x.ndim
-    if not 0 <= mode < d:
+    if not 0 <= mode < x.ndim:
         raise IndexError(f"mode {mode} out of range")
     if a.ndim != 2 or a.shape[1] != x.shape[mode]:
         raise ValueError(f"matrix of shape {a.shape} does not match mode {mode} of extent {x.shape[mode]}")
-    cars = list(x.carriages)
-    if mode == 0:
-        cars[0] = a @ cars[0]
-    elif mode == d - 1:
-        cars[-1] = cars[-1] @ a.T
-    else:
-        cars[mode] = np.einsum("rns,mn->rms", cars[mode], a)
-    return TTTensor(tuple(cars))
+    cores = _as_cores(x)
+    cores[mode] = np.einsum("rns,mn->rms", cores[mode], a)
+    return _from_cores(cores)
 
 
 def tt_norm(x: TTTensor) -> float:
     """Frobenius norm via a left-to-right QR sweep (stable for any ranks)."""
-    r = None
+    r = np.ones((1, 1))
     for core in _as_cores(x):
-        m = core if r is None else np.tensordot(r, core, axes=([1], [0]))
-        q, r = np.linalg.qr(m.reshape(-1, m.shape[2]))
+        m = np.tensordot(r, core, axes=([1], [0]))
+        r = np.linalg.qr(m.reshape(-1, m.shape[2]), mode="r")
     return float(np.linalg.norm(r))
 
 

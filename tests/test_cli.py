@@ -176,9 +176,6 @@ class TestTTHighD:
         da, db = load(a), load(b)
         np.testing.assert_array_equal(np.delete(da, 1, axis=1), np.delete(db, 1, axis=1))
 
-    def test_bad_alpha_exit_code(self, tmp_path):
-        assert run(["tt-highd", "--d", 4, "--alpha", 1.5, "--out", tmp_path / "x.dat"]) == 2
-
     @pytest.mark.parametrize("round_tol", ["nan", "inf"])
     def test_non_finite_round_tol_exit_code(self, tmp_path, round_tol, capsys):
         args = ["tt-highd", "--d", 3, "--n", 4, "--N", 10, "--round-tol", round_tol, "--out", tmp_path / "x.dat"]
@@ -197,6 +194,13 @@ class TestTTHighD:
         assert run(command + ["--round-tol", round_tol, "--out", tmp_path / "x.dat"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("fracsum: round_tol must be finite and nonnegative") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["0.0", "1.5", "nan"])
+@pytest.mark.parametrize("command", ["strip-bound", "rank-decay", "tt-highd"])
+def test_bad_alpha_exit_code(tmp_path, command, alpha, capsys):
+    assert run([command, "--alpha", alpha, "--out", tmp_path / "x.dat"]) == 2
+    assert capsys.readouterr().err == f"fracsum: alpha must be in (0, 1), got {float(alpha)}\n"
 
 
 def _package_env():

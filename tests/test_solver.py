@@ -183,6 +183,21 @@ class TestSolveCP:
         c2 = CPTensor(tuple(rng.standard_normal((6, 2)) for _ in range(3)))
         assert solve_cp(ks, c2, es)[0].rank == 2 * es.n_terms
 
+    def test_term_j_fills_columns_j_r_to_j_r_plus_r(self):
+        # the reference never diagonalizes: per-mode Taylor exponentials act on the factors
+        rng = np.random.default_rng(10)
+        factors = [random_spd(rng, n) for n in (4, 5, 3)]
+        ks = KroneckerSum(factors)
+        es = build_expsum(params_for_terms(0.4, 12))
+        r, lam_min = 2, ks.lambda_min
+        c = CPTensor(tuple(rng.standard_normal((n, r)) for n in (4, 5, 3)))
+        x, _ = solve_cp(ks, c, es)
+        for j, (w, t) in enumerate(zip(es.weights, es.exponents)):
+            term = CPTensor(tuple(f[:, j * r : (j + 1) * r] for f in x.factors)).to_dense()
+            exps = tuple(expm_taylor(-t * a / lam_min) @ f for a, f in zip(factors, c.factors))
+            ref = lam_min**-0.4 * w * CPTensor(exps).to_dense()
+            assert np.linalg.norm(term - ref) <= 1e-12 * np.linalg.norm(ref), j
+
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(8)
         ks = KroneckerSum([random_spd(rng, 16) for _ in range(3)])

@@ -131,13 +131,15 @@ def formatted(kind, shape, seed):
 class TestMultiModeProductFormats:
     @pytest.mark.parametrize("kind", ["cp", "tucker", "tt"])
     def test_equals_densify_then_multiply(self, kind):
-        x = formatted(kind, (4, 5, 3), 40)
-        # matrices with orthonormal columns keep Tucker factors orthonormal; they also change the extents
-        mats = [random_orthonormal(m, n, 50 + i) for i, (m, n) in enumerate(zip((6, 5, 4), x.shape))]
-        y = multi_mode_product(x, mats)
-        assert type(y) is type(x) and y.shape == (6, 5, 4)
-        dense = multi_mode_product(x.to_dense(), mats)
-        np.testing.assert_allclose(y.to_dense(), dense, rtol=0, atol=1e-13 * np.linalg.norm(dense))
+        # the 2-way train has only boundary carriages
+        for shape, out in [((4, 5, 3), (6, 5, 4)), ((4, 3), (5, 3))]:
+            x = formatted(kind, shape, 40)
+            # matrices with orthonormal columns keep Tucker factors orthonormal; they also change the extents
+            mats = [random_orthonormal(m, n, 50 + i) for i, (m, n) in enumerate(zip(out, x.shape))]
+            y = multi_mode_product(x, mats)
+            assert type(y) is type(x) and y.shape == out
+            dense = multi_mode_product(x.to_dense(), mats)
+            np.testing.assert_allclose(y.to_dense(), dense, rtol=0, atol=1e-13 * np.linalg.norm(dense))
 
     @pytest.mark.parametrize("kind", ["cp", "tucker", "tt"])
     def test_one_line_error_for_a_wrong_count_or_extent(self, kind):
@@ -258,12 +260,14 @@ class TestTTArithmetic:
         np.testing.assert_allclose(s.to_dense(), t.to_dense(), atol=1e-13)
 
     def test_mode_product_matches_dense(self):
-        x = rand((3, 4, 5), 2)
-        t = tt_svd(x, tol=0.0)
-        for mode, m in [(0, rand((2, 3), 3)), (1, rand((6, 4), 4)), (2, rand((2, 5), 5))]:
-            y = tt_mode_product(t, mode, m)
-            assert y.ranks == t.ranks  # ranks are structurally unchanged
-            np.testing.assert_allclose(y.to_dense(), mode_product(x, mode, m), atol=1e-12)
+        # the 2-way train has only boundary carriages
+        for shape in [(3, 4, 5), (3, 5)]:
+            x = rand(shape, 2)
+            t = tt_svd(x, tol=0.0)
+            for mode, m in enumerate(rand((k, n), 3 + i) for i, (k, n) in enumerate(zip((2, 6, 2), shape))):
+                y = tt_mode_product(t, mode, m)
+                assert y.ranks == t.ranks  # ranks are structurally unchanged
+                np.testing.assert_allclose(y.to_dense(), mode_product(x, mode, m), atol=1e-12)
 
     def test_norm(self):
         x = rand((4, 5, 6), 9)
