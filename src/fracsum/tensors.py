@@ -18,7 +18,7 @@ Formats:
 * :class:`TTTensor` -- tensor train; boundary carriages are matrices, the
   inner ones order-3 arrays.  ``_as_cores`` and ``_from_cores`` are the
   only code that maps the boundary matrices to order-3 cores with unit
-  boundary ranks and back; everything else reads and writes trains as cores.
+  boundary ranks and back; the kernels here read and write trains as cores.
 
 Every train is rounded by the two sweeps of ``_sweep_round``, which sees
 the carriages only through contractions and keeps only the triangular
