@@ -39,7 +39,6 @@ from .solver import (
     KroneckerSum,
     MemoryCapError,
     SolveReport,
-    exp_kron_apply,
     oracle_apply,
     solve_cp,
     solve_dense,

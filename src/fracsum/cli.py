@@ -145,6 +145,12 @@ def _fmt(v) -> str:
     return f"{float(v):.16e}"
 
 
+def _check_memory_cap(cap: int) -> None:
+    """A cap below one entry admits no dense tensor at all: a configuration error, not a cap overrun."""
+    if cap < 1:
+        raise ValueError(f"--memory-cap must be at least 1, got {cap}")
+
+
 def _dump(es: ExpSum, path) -> None:
     if path:
         with open(path, "w") as fh:
@@ -191,8 +197,12 @@ def cmd_strip_bound(args) -> None:
     d = math.pi * alpha / 8.0 if args.d is None else args.d
     if not 0.0 < d < math.pi * alpha / 4.0:
         raise ValueError(f"strip half-width must satisfy 0 < d < pi*alpha/4 = {math.pi * alpha / 4.0:g}")
-    if args.xi <= 0.0:
-        raise ValueError("xi must be positive")
+    if not 0.0 < args.xi < math.inf:
+        raise ValueError(f"--xi must be positive and finite, got {args.xi}")
+    if not math.isfinite(args.tau_max):
+        raise ValueError(f"--tau-max must be finite, got {args.tau_max}")
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     rows = []
     for tau in np.linspace(0.0, args.tau_max, args.points):
         g = abs(integrand_g(complex(tau, d), args.xi, alpha))
@@ -208,6 +218,7 @@ def _poisson_setup(args):
         raise ValueError(f"alpha must be in (0, 1] for this command, got {args.alpha}")
     if args.d < 1 or args.n < 2:
         raise ValueError("need dimension >= 1 and grid size >= 2")
+    _check_memory_cap(args.memory_cap)
     _check_memory(args.n ** args.d, args.memory_cap, "oracle")
     grids = [Grid1D(args.n)] * args.d
     ks = KroneckerSum([laplacian_1d(args.n)] * args.d)
@@ -293,6 +304,7 @@ def cmd_rank_decay(args) -> None:
     if args.N < 3:
         raise ValueError("--N must be at least 3 (smallest certified sum)")
     d = 3
+    _check_memory_cap(args.memory_cap)
     _check_memory(args.n ** d, args.memory_cap, "rank-decay")
 
     grids = [Grid1D(args.n)] * d
@@ -335,6 +347,7 @@ def cmd_tt_highd(args) -> None:
     if min(dims) < 3:
         raise ValueError("tt-highd needs dimension >= 3")
     _check_nonnegative(args.round_tol, "round_tol")
+    _check_memory_cap(args.memory_cap)
     if args.eps is not None:
         es = build_expsum(select_params(args.alpha, args.eps))
     else:

@@ -12,7 +12,8 @@ with positive weights ``w_j`` and increasing exponents ``t_j``.  Because the
 integrand is analytic on a horizontal strip of half-width ``d`` and decays on
 the real line, the total error admits an a-priori bound that is uniform over
 ``xi in [1, inf)``; everything needed to evaluate that bound is carried in
-:class:`ExpSumParams`.
+:class:`ExpSumParams`.  A sum is its parameter set: :class:`ExpSum` derives
+its weights and exponents from it, so that bound holds for every sum.
 
 For a fixed number of terms, :func:`best_expsum` searches the same family for
 the most accurate sum and certifies its error a posteriori, from its own
@@ -119,31 +120,32 @@ class ExpSumParams:
 
 @dataclass(frozen=True)
 class ExpSum:
-    """Weights and exponents of a truncated quadrature sum.
+    """The truncated quadrature sum of one parameter set.
 
-    Arrays are indexed by the lattice position ``j = -n_minus .. n_plus`` in
-    ascending order:
+    The weights and exponents are derived from ``params`` at construction,
+    indexed by the lattice position ``j = -n_minus .. n_plus`` in ascending
+    order:
 
         weights[j]   = h / (alpha * Gamma(alpha)) / (1 + exp(-j*h))
         exponents[j] = log(1 + exp(j*h)) ** (1/alpha)
 
-    Both are stored as read-only copies, so a sum never changes after it
-    is built and a certificate attached to it cannot go stale.
+    Both are read-only, so a sum never changes after it is built and a
+    certificate attached to it cannot go stale.  Sums compare and hash by
+    their parameters.
     """
 
     params: ExpSumParams
-    weights: np.ndarray
-    exponents: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    exponents: np.ndarray = field(init=False, repr=False, compare=False)
     # the a-posteriori bound the library certified for this sum; see
     # certified_bound.  Not a constructor argument, so no caller can pass one.
     _certificate: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("weights", "exponents"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
-        n = self.params.n_terms
-        if self.weights.shape != (n,) or self.exponents.shape != (n,):
-            raise ValueError("weights/exponents must both have n_minus + n_plus + 1 entries")
+        p = self.params
+        lattice = _lattice(p.alpha, p.h, np.arange(-p.n_minus, p.n_plus + 1, dtype=float))
+        for name, a in zip(("weights", "exponents"), lattice):
+            object.__setattr__(self, name, _read_only(a))
         if not np.all(self.weights > 0.0):
             raise ValueError("weights must be positive")
         if not (np.all(self.exponents > 0.0) and np.all(np.diff(self.exponents) > 0.0)):
@@ -277,19 +279,17 @@ def params_for_terms(alpha: float, n_terms: int) -> ExpSumParams:
 
 
 def build_expsum(params: ExpSumParams) -> ExpSum:
-    """Materialize the weight/exponent arrays for a parameter set.
+    """The sum of a parameter set, ``ExpSum(params)``."""
+    return ExpSum(params)
+
+
+def _lattice(alpha: float, h: float, j: np.ndarray):
+    """Quadrature weights and exponents at the lattice indices ``j``.
 
     ``log(1 + exp(j*h))`` is computed as ``j*h + log1p(exp(-j*h))`` on the
     positive side, where ``j*h`` reaches hundreds and ``exp(j*h)`` would
     overflow.
     """
-    j = np.arange(-params.n_minus, params.n_plus + 1, dtype=float)
-    weights, exponents = _lattice(params.alpha, params.h, j)
-    return ExpSum(params=params, weights=weights, exponents=exponents)
-
-
-def _lattice(alpha: float, h: float, j: np.ndarray):
-    """Quadrature weights and exponents at the lattice indices ``j``."""
     jh = j * h
     log1p_exp = np.where(jh > 0.0, jh + np.log1p(np.exp(-np.abs(jh))), np.log1p(np.exp(np.minimum(jh, 0.0))))
     weights = (h / (alpha * math.gamma(alpha))) / (1.0 + np.exp(-jh))
@@ -391,9 +391,7 @@ def best_expsum(alpha: float, n_terms: int) -> ExpSum:
     :class:`ExpSumParams`), that sum is returned instead, so the bound never
     exceeds the one of the a-priori rule.
     """
-    _check_alpha(alpha)
-    if n_terms < 3:
-        raise ValueError(f"n_terms must be at least 3, got {n_terms}")
+    fallback = params_for_terms(alpha, n_terms)  # also checks alpha and n_terms
     reach_minus = min(_REACH, 600.0 * alpha)
     h_max = (reach_minus + _REACH**alpha) / (n_terms - 1)
     coarse = np.linspace(math.log(h_max / 30.0), math.log(h_max), _H_COARSE)
@@ -402,7 +400,6 @@ def best_expsum(alpha: float, n_terms: int) -> ExpSum:
     ranked = [(_rank_step(alpha, math.exp(x), n_terms, reach_minus), x) for x in fine]
     (_, n_minus), log_h = min(ranked, key=lambda entry: entry[0][0])
     params = _params_at(alpha, math.exp(log_h), n_minus, n_terms - 1 - n_minus)
-    fallback = params_for_terms(alpha, n_terms)
     es = _certified(build_expsum(params)) if params is not None else None
     if es is None or certified_bound(es) > total_error_bound(fallback):
         es = _certified(build_expsum(fallback))
@@ -465,10 +462,10 @@ def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParam
 def certified_bound(es: ExpSum) -> float:
     """Certified uniform error bound of a sum over ``xi in [1, inf)``.
 
-    This is :func:`total_error_bound` of ``es.params``, unless the library
-    certified this very sum a posteriori (as :func:`best_expsum` does); then
-    it is the smaller of the two.  A sum assembled by hand, even from the
-    arrays of a certified one, gets the a-priori bound.
+    This is :func:`total_error_bound` of ``es.params``, which holds for
+    every sum, since a sum's arrays are those of its parameters.  A sum
+    returned by :func:`best_expsum` also carries its a-posteriori
+    certificate, and then the bound is the smaller of the two.
     """
     bound = total_error_bound(es.params)
     if es._certificate is not None:

@@ -9,7 +9,7 @@ smallest eigenvalue so that the spectrum starts at 1,
     X_N = lambda_min**(-alpha) * sum_j w_j * (C x_1 E_1j ... x_d E_dj),
 
 where ``E_ij = exp(-t_j * A_i / lambda_min)``.  Every ``E_ij`` is diagonal in
-the eigenbasis ``Q_i`` of ``A_i``, so every path, the exact references
+the eigenbasis ``Q_i`` of ``A_i``, so every path, the exact reference
 included, runs the same three steps, written once in ``_in_eigenbasis``:
 rotate into the joint eigenbasis ``Q = Q_1 (x) ... (x) Q_d``, multiply
 entrywise by a diagonal filter on the lattice of eigenvalue sums, and rotate
@@ -20,10 +20,9 @@ takes every format.  For the sum the filter is the rank-N CP tensor
 
 built once per solve as a :class:`fracsum.tensors.CPTensor` whose mode-0
 factor carries the scaled weights ``lambda_min**(-alpha) * w_j``; the exact
-reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)`` and
-:func:`exp_kron_apply` uses ``F = exp(t * sum_i Lambda_i)``.  A path supplies
-only its entrywise product with ``F``: dense tensors multiply ``F``
-densified; CP and Tucker factors are scaled term by term along their mode
+reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)``.  A
+path supplies only its entrywise product with ``F``: dense tensors multiply
+``F`` densified; CP and Tucker factors are scaled term by term along their mode
 index by the factors of ``F`` (Tucker re-orthogonalizes the stack by QR);
 tensor trains are multiplied by ``F`` written as a compressed train, which
 the operator keeps for the next solve with the same sum.  So the
@@ -65,7 +64,6 @@ __all__ = [
     "KroneckerSum",
     "MemoryCapError",
     "SolveReport",
-    "exp_kron_apply",
     "oracle_apply",
     "solve_cp",
     "solve_dense",
@@ -99,7 +97,7 @@ class KroneckerSum:
                 raise ValueError(f"factor {i} is not symmetric")
             a.flags.writeable = False
         self._factors = factors
-        # (es, delta, train) of the last solve_tt; holding es keeps its id from being reused
+        # (es, delta, train) of the last solve_tt
         self._tt_filter_memo = None
 
     @property
@@ -216,12 +214,13 @@ def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
 def _tt_filter(ks: KroneckerSum, es: ExpSum, delta: float) -> TTTensor:
     """The filter of ``es`` as a train rounded at per-step threshold ``delta``, built once per ``(es, delta)``.
 
-    ``ks`` keeps the last train it built.  The entry is one tuple, read and
-    replaced whole, so concurrent solves can only rebuild it, never see a
-    train of another sum or threshold.
+    ``ks`` keeps the last train it built.  Equal sums have the same
+    parameters, hence the same arrays, and so share the train.  The entry is
+    one tuple, read and replaced whole, so concurrent solves can only rebuild
+    it, never see a train of another sum or threshold.
     """
     memo = ks._tt_filter_memo
-    if memo is not None and memo[0] is es and memo[1] == delta:
+    if memo is not None and memo[0] == es and memo[1] == delta:
         return memo[2]
     filt = _cp_to_tt(_sum_filter(ks, es).factors, delta)
     ks._tt_filter_memo = (es, delta, filt)
@@ -398,14 +397,3 @@ def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int 
     _finite_norm(float(np.linalg.norm(c)))
     return _in_eigenbasis(ks, c, lambda y: _eigenvalue_sums(ks) ** (-alpha) * y)
 
-
-def exp_kron_apply(ks: KroneckerSum, c: np.ndarray, t: float) -> np.ndarray:
-    """Apply the matrix exponential of ``t`` times the Kronecker sum.
-
-    Because the Kronecker summands commute, the exponential is the diagonal
-    filter ``exp(t * (lam_1[i_1] + ... + lam_d[i_d]))`` on the joint
-    eigenbasis.
-    """
-    c = np.asarray(c, dtype=float)
-    ks._check_shape(c.shape)
-    return _in_eigenbasis(ks, c, lambda y: np.exp(t * _eigenvalue_sums(ks)) * y)

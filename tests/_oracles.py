@@ -1,7 +1,10 @@
 """Independent reference computations shared by the test modules.
 
 Everything here is deliberately written against the raw formulas, not the
-package code paths, so the tests compare two separate routes.
+package code paths, so the tests compare two separate routes.  The one
+exception, :func:`exp_kron_apply`, drives the solver's rotation kernel with
+another filter, so that the kernel is checked against a brute-force matrix
+exponential.
 """
 
 import cmath
@@ -9,6 +12,7 @@ import math
 
 import numpy as np
 
+from fracsum.solver import _eigenvalue_sums, _in_eigenbasis
 from fracsum.tensors import TTTensor
 
 
@@ -83,6 +87,15 @@ def tt_add(x: TTTensor, y: TTTensor) -> TTTensor:
         cars.append(block)
     cars.append(np.vstack([cx[-1], cy[-1]]))
     return TTTensor(tuple(cars))
+
+
+def exp_kron_apply(ks, c, t: float) -> np.ndarray:
+    """The matrix exponential of ``t`` times the Kronecker sum ``ks``, applied to ``c`` by ``solver._in_eigenbasis``.
+
+    The summands commute, so the exponential is the diagonal filter
+    ``exp(t * (lam_1[i_1] + ... + lam_d[i_d]))`` on the joint eigenbasis.
+    """
+    return _in_eigenbasis(ks, np.asarray(c, dtype=float), lambda y: np.exp(t * _eigenvalue_sums(ks)) * y)
 
 
 def kron_sum_matrix(factors) -> np.ndarray:

@@ -21,7 +21,6 @@ from fracsum.expsum import (
 from fracsum.problems import Grid1D, RhsSpec, laplacian_1d, sample_rhs
 from fracsum.solver import (
     KroneckerSum,
-    exp_kron_apply,
     oracle_apply,
     solve_cp,
     solve_dense,
@@ -30,7 +29,7 @@ from fracsum.solver import (
 )
 from fracsum.tensors import CPTensor, hosvd, tt_svd
 
-from _oracles import expm_taylor, kron_sum_matrix, log_abs_g, numerical_multilinear_ranks, random_spd, vec
+from _oracles import exp_kron_apply, expm_taylor, kron_sum_matrix, log_abs_g, numerical_multilinear_ranks, random_spd, vec
 
 XI = np.logspace(0.0, 6.0, 100)
 

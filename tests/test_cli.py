@@ -60,6 +60,17 @@ class TestStripBound:
     def test_invalid_width_rejected(self, tmp_path):
         assert run(["strip-bound", "--alpha", 0.25, "--d", 0.3, "--out", tmp_path / "x.dat"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--xi", "nan"), ("--xi", "inf"), ("--tau-max", "nan"), ("--tau-max", "inf"), ("--points", "0")],
+    )
+    def test_non_finite_or_empty_input_rejected(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "x.dat"
+        assert run(["strip-bound", flag, value, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fracsum: {flag} must be") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPoisson:
     def test_error_decreases_with_terms(self, tmp_path):
@@ -201,6 +212,13 @@ class TestTTHighD:
 def test_bad_alpha_exit_code(tmp_path, command, alpha, capsys):
     assert run([command, "--alpha", alpha, "--out", tmp_path / "x.dat"]) == 2
     assert capsys.readouterr().err == f"fracsum: alpha must be in (0, 1), got {float(alpha)}\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["poisson", "rank-decay", "tt-highd"])
+def test_memory_cap_below_one_exit_code(tmp_path, command, cap, capsys):
+    assert run([command, "--memory-cap", cap, "--out", tmp_path / "x.dat"]) == 2
+    assert capsys.readouterr().err == f"fracsum: --memory-cap must be at least 1, got {cap}\n"
 
 
 def _package_env():

@@ -10,7 +10,6 @@ import pytest
 
 from fracsum.expsum import (
     EPS_CAP,
-    ExpSum,
     ExpSumParams,
     best_expsum,
     build_expsum,
@@ -256,7 +255,10 @@ class TestBestExpsum:
     def test_hand_built_sum_gets_a_priori_bound(self):
         es = cached_best(0.5, 30)
         assert certified_bound(es) < total_error_bound(es.params)
-        same = ExpSum(es.params, es.weights.copy(), es.exponents.copy())
+        same = build_expsum(es.params)
+        assert same == es and hash(same) == hash(es)
+        assert same.weights.tobytes() == es.weights.tobytes()
+        assert same.exponents.tobytes() == es.exponents.tobytes()
         assert certified_bound(same) == total_error_bound(es.params)
 
     def test_in_place_write_raises(self):
