@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -185,10 +186,8 @@ def cmd_expsum_convergence(args) -> None:
 
 
 def _suffixed(path: str, alpha: float) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}_{alpha:.6f}"
-    return f"{stem}_{alpha:.6f}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_{alpha:.6f}{ext}"
 
 
 def cmd_strip_bound(args) -> None:
@@ -201,13 +200,17 @@ def cmd_strip_bound(args) -> None:
         raise ValueError(f"--xi must be positive and finite, got {args.xi}")
     if not math.isfinite(args.tau_max):
         raise ValueError(f"--tau-max must be finite, got {args.tau_max}")
+    if args.tau_max < 0.0:
+        raise ValueError(f"--tau-max must be nonnegative, got {args.tau_max}")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     rows = []
     for tau in np.linspace(0.0, args.tau_max, args.points):
         g = abs(integrand_g(complex(tau, d), args.xi, alpha))
-        decay = math.cos(d / (alpha * max(tau, 0.5))) * tau ** (1.0 / alpha)
-        bound = math.exp(max(-args.xi * decay, -745.0)) if tau > 0 else 1.0
+        bound = 1.0
+        if tau > 0:
+            decay = math.cos(d / (alpha * max(tau, 0.5))) * tau ** (1.0 / alpha)
+            bound = math.exp(max(-args.xi * decay, -745.0))
         rows.append((tau, g, bound))
     _write_rows(args.out, rows)
     print(args.out)

@@ -27,7 +27,17 @@ index by the factors of ``F`` (Tucker re-orthogonalizes the stack by QR);
 tensor trains are multiplied by ``F`` written as a compressed train, which
 the operator keeps for the next solve with the same sum.  So the
 construction maps verbatim onto those formats and yields the rank growth
-certificates checked in the test suite.  All paths share one report builder.
+certificates checked in the test suite.
+
+Around those steps every solve path runs one protocol, written once in
+``_solve``, and adds only its own input checks, its format's norm and its
+entrywise step.  The clock starts after the eigendecompositions, which run
+once per operator, so ``wall_time`` excludes them and includes everything in
+the steps, such as building the train path's filter.  ``error_bound`` is
+``lambda_min**(-alpha) * certified_bound(es) * ||c||_F`` plus a path's
+allowance times ``||c||_F`` (only the train path has one, for recompression).
+It takes the eigendecompositions as exact: their backward error,
+``O(u*||A_i||)`` per factor for the unit roundoff ``u``, is outside the bound.
 Non-finite input fails with a ``ValueError``: factors at construction, and a
 right-hand side whose norm is not finite at the start of a solve.
 """
@@ -105,10 +115,6 @@ class KroneckerSum:
         return self._factors
 
     @property
-    def ndim(self) -> int:
-        return len(self._factors)
-
-    @property
     def shape(self) -> tuple:
         return tuple(a.shape[0] for a in self._factors)
 
@@ -145,16 +151,8 @@ class KroneckerSum:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Audit record of one inverse-power application.
+    """Audit record of one inverse-power application; the module docstring says what it covers.
 
-    ``error_bound`` is the certified absolute bound
-    ``lambda_min**(-alpha) * certified_bound(es) * ||c||_F`` plus, for
-    the train path, the recompression allowance.  It takes the factors'
-    eigendecompositions as exact: their backward error, ``O(u*||A_i||)`` per
-    factor for the unit roundoff ``u``, is outside the bound.  ``wall_time``
-    does not include that eigendecomposition, which runs once per operator.
-    It does include building the train path's filter train, which runs once
-    per operator, sum and threshold: later train solves reuse it.
     ``ranks`` is the format-specific rank vector of the result (empty for
     dense results).
     """
@@ -175,28 +173,11 @@ def _scale(ks: KroneckerSum, es: ExpSum) -> float:
     return ks.lambda_min ** (-es.params.alpha)
 
 
-def _start(ks: KroneckerSum) -> float:
-    """The clock of a solve, read after the lazy eigendecomposition so that ``wall_time`` excludes it."""
-    ks.spectra
-    return time.perf_counter()
-
-
 def _finite_norm(cnorm: float) -> float:
     """``cnorm``, the norm of a right-hand side, checked to be finite (NaN fails too)."""
     if not math.isfinite(cnorm):
         raise ValueError(f"right-hand side norm is {cnorm}; entries must be finite")
     return cnorm
-
-
-def _report(ks: KroneckerSum, es: ExpSum, start: float, cnorm: float, ranks=(), allowance: float = 0.0) -> SolveReport:
-    """The report of a solve of a right-hand side of norm ``cnorm`` begun at ``start``."""
-    return SolveReport(
-        n_terms=es.n_terms,
-        error_bound=_scale(ks, es) * certified_bound(es) * cnorm + allowance,
-        wall_time=time.perf_counter() - start,
-        ranks=ranks,
-        lambda_min=ks.lambda_min,
-    )
 
 
 def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
@@ -238,6 +219,30 @@ def _in_eigenbasis(ks: KroneckerSum, c, step):
     return multi_mode_product(step(multi_mode_product(c, [q.T for q in qs])), qs)
 
 
+def _solve(ks: KroneckerSum, es: ExpSum, c, norm, step, allowance: float = 0.0):
+    """The protocol of every solve path: ``Q step(Q^T c, cnorm)`` and its :class:`SolveReport`.
+
+    In order: check the shape of ``c``; compute the eigendecompositions if
+    they are not yet known, then start the clock; check that
+    ``cnorm = norm(c)`` is finite; rotate, ``step``, rotate back through
+    :func:`_in_eigenbasis`; report, stopping the clock after ``error_bound``
+    is evaluated.  ``ranks`` is read off the result: ``(rank,)`` of a CP
+    tensor, the ranks of a Tucker tensor or a train, ``()`` of a dense one.
+    """
+    ks._check_shape(c.shape)
+    ks.spectra
+    start = time.perf_counter()
+    cnorm = _finite_norm(norm(c))
+    x = _in_eigenbasis(ks, c, lambda y: step(y, cnorm))
+    return x, SolveReport(
+        n_terms=es.n_terms,
+        error_bound=_scale(ks, es) * certified_bound(es) * cnorm + allowance * cnorm,
+        wall_time=time.perf_counter() - start,
+        ranks=(x.rank,) if isinstance(x, CPTensor) else getattr(x, "ranks", ()),
+        lambda_min=ks.lambda_min,
+    )
+
+
 def _eigenvalue_sums(ks: KroneckerSum) -> np.ndarray:
     """The eigenvalues ``lam_1[i_1] + ... + lam_d[i_d]`` of the Kronecker sum as a dense tensor."""
     return reduce(np.add.outer, [lam for lam, _ in ks.spectra])
@@ -257,19 +262,17 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = D
 
     The filter of the sum is densified once on the eigenvalue lattice and
     applied between one rotation into the joint eigenbasis and one rotation
-    back.  Returns the approximation together with a :class:`SolveReport`;
-    the report's ``error_bound`` certifies the Frobenius distance to the
-    exact solution.  Raises :class:`MemoryCapError` before the filter is
-    formed when ``c`` has more than ``memory_cap`` entries.
+    back.  Raises :class:`MemoryCapError` before the filter is formed when
+    ``c`` has more than ``memory_cap`` entries.
     """
     c = np.asarray(c, dtype=float)
-    ks._check_shape(c.shape)
     _check_memory(c.size, memory_cap, "dense solve")
-    start = _start(ks)
-    cnorm = _finite_norm(float(np.linalg.norm(c)))
-    # memory_cap bounds c; the filter's Khatri-Rao operands get at least the default cap
-    x = _in_eigenbasis(ks, c, lambda y: _sum_filter(ks, es).to_dense(max(memory_cap, DEFAULT_MEMORY_CAP)) * y)
-    return x, _report(ks, es, start, cnorm)
+
+    def step(y, _):
+        # memory_cap bounds c; the filter's Khatri-Rao operands get at least the default cap
+        return _sum_filter(ks, es).to_dense(max(memory_cap, DEFAULT_MEMORY_CAP)) * y
+
+    return _solve(ks, es, c, lambda c: float(np.linalg.norm(c)), step)
 
 
 def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
@@ -280,11 +283,10 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     term ``j`` in columns ``j*rank(c)`` to ``(j+1)*rank(c) - 1`` (no
     recompression is attempted in this format).
     """
-    ks._check_shape(c.shape)
-    start = _start(ks)
-    cnorm = _finite_norm(_cp_norm(c))
-    result = _in_eigenbasis(ks, c, lambda y: CPTensor(tuple(_face_split_factors(_sum_filter(ks, es), y.factors))))
-    return result, _report(ks, es, start, cnorm, ranks=(result.rank,))
+    def step(y, _):
+        return CPTensor(tuple(_face_split_factors(_sum_filter(ks, es), y.factors)))
+
+    return _solve(ks, es, c, _cp_norm, step)
 
 
 def _cp_norm(c: CPTensor) -> float:
@@ -308,14 +310,8 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     the core: modes 1..d-1 by products batched over the terms, the last by
     one product that also sums them.
     """
-    ks._check_shape(c.shape)
-    start = _start(ks)
-    # the factors are orthonormal, so the core carries the norm
-    cnorm = _finite_norm(float(np.linalg.norm(c.core)))
-    filt = _sum_filter(ks, es)
-
-    def combine(y: TuckerTensor) -> TuckerTensor:
-        qs, r_blocks = zip(*(np.linalg.qr(b) for b in _face_split_factors(filt, y.factors)))
+    def combine(y: TuckerTensor, _) -> TuckerTensor:
+        qs, r_blocks = zip(*(np.linalg.qr(b) for b in _face_split_factors(_sum_filter(ks, es), y.factors)))
         # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
         r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
         ranks = tuple(len(b) for b in r_blocks)
@@ -332,8 +328,8 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
             core += x.reshape(len(last), -1).T @ last
         return TuckerTensor(core=core.reshape(ranks), factors=qs)
 
-    result = _in_eigenbasis(ks, c, combine)
-    return result, _report(ks, es, start, cnorm, ranks=result.ranks)
+    # the factors are orthonormal, so the core carries the norm
+    return _solve(ks, es, c, lambda c: float(np.linalg.norm(c.core)), combine)
 
 
 def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12):
@@ -365,20 +361,18 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     rounding, is outside ``error_bound``.
 
     ``F_delta`` depends only on the operator, the sum and ``round_tol``, never
-    on ``c``.  The first solve with a given sum and threshold builds it, and
-    its ``wall_time`` includes that; later solves on the same operator reuse
-    it.  The operator keeps one such train, for the last sum and threshold.
+    on ``c``.  The first solve with a given sum and threshold builds it; later
+    solves on the same operator reuse it.  The operator keeps one such train,
+    for the last sum and threshold.
     """
-    ks._check_shape(c.shape)
     _check_nonnegative(round_tol, "round_tol")
-    start = _start(ks)
-    cnorm = _finite_norm(tt_norm(c))
-    # per-step threshold of the filter; times ||c||, that of the product
-    delta = 0.5 * (es.n_terms - 1) * round_tol / math.sqrt(c.ndim - 1)
-    filt = _tt_filter(ks, es, delta)
-    x = _in_eigenbasis(ks, c, lambda y: _tt_hadamard_round(filt, y, delta * cnorm))
-    allowance = (es.n_terms - 1) * round_tol * cnorm
-    return x, _report(ks, es, start, cnorm, ranks=x.ranks, allowance=allowance)
+
+    def step(y, cnorm):
+        # per-step threshold of the filter; times ||c||, that of the product
+        delta = 0.5 * (es.n_terms - 1) * round_tol / math.sqrt(y.ndim - 1)
+        return _tt_hadamard_round(_tt_filter(ks, es, delta), y, delta * cnorm)
+
+    return _solve(ks, es, c, tt_norm, step, allowance=(es.n_terms - 1) * round_tol)
 
 
 def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:

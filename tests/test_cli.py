@@ -10,6 +10,7 @@ import pytest
 
 import fracsum
 from fracsum.cli import main
+from fracsum.expsum import build_expsum, expsum_to_text, select_params
 
 def run(args):
     return main([str(a) for a in args])
@@ -47,6 +48,12 @@ class TestExpsumConvergence:
         assert np.all(table[:, 0] > 0)
         assert np.all(np.diff(table[:, 1]) > 0)
 
+    def test_suffix_leaves_a_dotted_directory_alone(self, tmp_path):
+        (tmp_path / "run.d").mkdir()
+        out = tmp_path / "run.d" / "conv"
+        assert run(["expsum-convergence", "--alpha", 0.25, "--alpha", 0.75, "--N", 40, "--out", out]) == 0
+        assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == ["conv_0.250000", "conv_0.750000"]
+
 
 class TestStripBound:
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
@@ -69,6 +76,12 @@ class TestStripBound:
         assert run(["strip-bound", flag, value, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"fracsum: {flag} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_tau_max_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.dat"
+        assert run(["strip-bound", "--alpha", 0.3, "--tau-max", -5, "--out", out]) == 2
+        assert capsys.readouterr().err == "fracsum: --tau-max must be nonnegative, got -5.0\n"
         assert not out.exists()
 
 
@@ -186,6 +199,13 @@ class TestTTHighD:
             assert run(["tt-highd", "--d", 4, "--n", 6, "--N", 40, "--out", out]) == 0
         da, db = load(a), load(b)
         np.testing.assert_array_equal(np.delete(da, 1, axis=1), np.delete(db, 1, axis=1))
+
+    def test_eps_selects_the_a_priori_sum(self, tmp_path):
+        out, dump = tmp_path / "tt.dat", tmp_path / "sum.txt"
+        assert run(["tt-highd", "--d", 3, "--n", 6, "--eps", 1e-6, "--out", out, "--dump-expsum", dump]) == 0
+        data = load(out)
+        assert data.shape == (1, 4) and np.all(np.isfinite(data))
+        assert dump.read_text() == expsum_to_text(build_expsum(select_params(0.5, 1e-6)))
 
     @pytest.mark.parametrize("round_tol", ["nan", "inf"])
     def test_non_finite_round_tol_exit_code(self, tmp_path, round_tol, capsys):
