@@ -51,7 +51,6 @@ from .tensors import (
     TuckerTensor,
     cp_als,
     hosvd,
-    mode_product,
     multi_mode_product,
     tt_mode_product,
     tt_norm,

@@ -232,6 +232,8 @@ def _poisson_setup(args):
 
 def cmd_poisson(args) -> None:
     _check_nonnegative(args.round_tol, "round_tol")
+    if args.alpha == 1.0 and args.dump_expsum:
+        raise ValueError("--dump-expsum needs alpha < 1: the classical mode alpha = 1 builds no sum")
     ks, rhs, dense = _poisson_setup(args)
     if args.alpha == 1.0:
         # classical sanity mode: check the diagonalization oracle against the

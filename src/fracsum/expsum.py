@@ -59,6 +59,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _check_eps(eps: float) -> None:
+    """Raise a one-line ``ValueError`` unless ``tiny <= eps < 1``, where ``log(1/eps)`` is finite and positive (NaN fails too)."""
+    if not np.finfo(float).tiny <= eps < 1.0:
+        raise ValueError(f"eps must be in [{np.finfo(float).tiny:g}, 1), got {eps}")
+
+
 @dataclass(frozen=True)
 class ExpSumParams:
     """Quadrature configuration for one exponential sum.
@@ -68,12 +74,12 @@ class ExpSumParams:
     alpha : float
         Exponent of the approximated power function, in (0, 1).
     eps : float
-        Accuracy target that fixed the step size.
+        Accuracy target that fixes the step size, in (0, 1).
     d : float
         Half-width of the analyticity strip used by the bound,
         0 < d <= pi*alpha/8.
     h : float
-        Trapezoidal step, h = 2*pi*d / log(1/eps).
+        Trapezoidal step, h = 2*pi*d / log(1/eps); derived, not a field.
     n_minus, n_plus : int
         Number of lattice points kept on the negative/positive side.
     """
@@ -81,20 +87,15 @@ class ExpSumParams:
     alpha: float
     eps: float
     d: float
-    h: float
     n_minus: int
     n_plus: int
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        _check_eps(self.eps)
         d_max = math.pi * self.alpha / 8.0
         if not 0.0 < self.d <= d_max * (1.0 + 1e-12):
             raise ValueError(f"d must satisfy 0 < d <= pi*alpha/8 = {d_max}, got {self.d}")
-        h_expected = 2.0 * math.pi * self.d / math.log(1.0 / self.eps)
-        if not math.isclose(self.h, h_expected, rel_tol=1e-10):
-            raise ValueError(f"h must equal 2*pi*d/log(1/eps) = {h_expected}, got {self.h}")
         if self.n_minus < 0 or self.n_plus < 0:
             raise ValueError("truncation counts must be nonnegative")
         # The truncation counts may exceed the minimal certified values, never
@@ -107,6 +108,11 @@ class ExpSumParams:
         t_min = _lattice(self.alpha, self.h, np.array([-float(self.n_minus)]))[1][0]
         if not t_min >= np.finfo(float).tiny:
             raise ValueError(f"smallest exponent {t_min:g} is not a positive normal float; decrease n_minus*h")
+
+    @property
+    def h(self) -> float:
+        """Trapezoidal step ``2*pi*d/log(1/eps)``."""
+        return _step(self.d, self.eps)
 
     @property
     def beta(self) -> float:
@@ -217,10 +223,7 @@ def select_params(alpha: float, eps: float) -> ExpSumParams:
     ExpSumParams
     """
     _check_alpha(alpha)
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if eps >= 1.0:
-        raise ValueError(f"eps must be below 1 for a meaningful step size, got {eps}")
+    _check_eps(eps)
     d = math.pi * alpha / 8.0
     if eps > EPS_CAP:
         warnings.warn(
@@ -228,15 +231,19 @@ def select_params(alpha: float, eps: float) -> ExpSumParams:
             "the closed-form error constant is not certified in this regime",
             stacklevel=2,
         )
-    h, n_minus, n_plus = _certified_counts(alpha, d, math.log(1.0 / eps))
-    return ExpSumParams(alpha=alpha, eps=eps, d=d, h=h, n_minus=n_minus, n_plus=n_plus)
+    n_minus, n_plus = _certified_counts(alpha, d, math.log(1.0 / eps))
+    return ExpSumParams(alpha=alpha, eps=eps, d=d, n_minus=n_minus, n_plus=n_plus)
+
+
+def _step(d: float, eps: float) -> float:
+    """The trapezoidal step ``2*pi*d/log(1/eps)`` of a strip half-width and an accuracy target."""
+    return 2.0 * math.pi * d / math.log(1.0 / eps)
 
 
 def _certified_counts(alpha: float, d: float, log_inv_eps: float):
-    """Step size and minimal truncation counts for one target."""
-    h = 2.0 * math.pi * d / log_inv_eps
-    n_minus_min, n_plus_min = _truncation_minima(alpha, d, h)
-    return h, math.ceil(n_minus_min), math.ceil(n_plus_min)
+    """Minimal truncation counts for one target, at the step ``2*pi*d/log_inv_eps``."""
+    n_minus_min, n_plus_min = _truncation_minima(alpha, d, 2.0 * math.pi * d / log_inv_eps)
+    return math.ceil(n_minus_min), math.ceil(n_plus_min)
 
 
 def _truncation_minima(alpha: float, d: float, h: float):
@@ -261,21 +268,23 @@ def params_for_terms(alpha: float, n_terms: int) -> ExpSumParams:
     d = math.pi * alpha / 8.0
 
     def total(log_inv_eps: float) -> int:
-        _, n_minus, n_plus = _certified_counts(alpha, d, log_inv_eps)
-        return n_minus + n_plus + 1
+        return sum(_certified_counts(alpha, d, log_inv_eps)) + 1
 
-    lo, hi = 1e-3, 4.0
+    hi = 4.0
     while total(hi) <= n_terms:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if total(mid) <= n_terms:
-            lo = mid
-        else:
-            hi = mid
-    h, n_minus, n_plus = _certified_counts(alpha, d, lo)
+    lo = _largest(lambda log_inv_eps: total(log_inv_eps) <= n_terms, 1e-3, hi, 200)
+    n_minus, n_plus = _certified_counts(alpha, d, lo)
     pad = n_terms - (n_minus + n_plus + 1)
-    return ExpSumParams(alpha=alpha, eps=math.exp(-lo), d=d, h=h, n_minus=n_minus + pad, n_plus=n_plus)
+    return ExpSumParams(alpha=alpha, eps=math.exp(-lo), d=d, n_minus=n_minus + pad, n_plus=n_plus)
+
+
+def _largest(pred, lo: float, hi: float, steps: int) -> float:
+    """The largest argument in ``[lo, hi]`` where a monotone ``pred`` holds, from below, by ``steps`` bisections."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo
 
 
 def build_expsum(params: ExpSumParams) -> ExpSum:
@@ -434,29 +443,27 @@ def _rank_step(alpha: float, h: float, n_terms: int, reach_minus: float):
 def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParams | None:
     """Parameters for a given step and split, with the widest strip they admit.
 
-    The strip half-width is derived from the rounded ``eps``, exactly as
-    :class:`ExpSumParams` checks it.  ``None`` when only a strip so narrow
-    that ``eps`` rounds to 1 would be admitted.
+    The strip half-width is derived from the rounded ``eps``, and the
+    truncation counts are checked at the step :class:`ExpSumParams` derives
+    from the two, which is ``h`` up to rounding.  ``None`` when only a strip
+    so narrow that ``eps`` rounds to 1 would be admitted.
     """
 
     def at(log_inv_eps):
         eps = math.exp(-log_inv_eps)
         d = h * math.log(1.0 / eps) / (2.0 * math.pi)
-        n_minus_min, n_plus_min = _truncation_minima(alpha, d, h)
-        ok = d > 0.0 and n_minus + 1e-9 >= n_minus_min and n_plus + 1e-9 >= n_plus_min
-        return ok, eps, d
+        if not d > 0.0:
+            return False, eps, d
+        n_minus_min, n_plus_min = _truncation_minima(alpha, d, _step(d, eps))
+        return n_minus + 1e-9 >= n_minus_min and n_plus + 1e-9 >= n_plus_min, eps, d
 
     widest = 2.0 * math.pi * (math.pi * alpha / 8.0) / h
     if not at(widest)[0]:
-        lo = 0.0
-        for _ in range(100):
-            mid = 0.5 * (lo + widest)
-            lo, widest = (mid, widest) if at(mid)[0] else (lo, mid)
-        widest = lo
+        widest = _largest(lambda log_inv_eps: at(log_inv_eps)[0], 0.0, widest, 100)
     ok, eps, d = at(widest)
     if not ok:
         return None
-    return ExpSumParams(alpha=alpha, eps=eps, d=d, h=h, n_minus=n_minus, n_plus=n_plus)
+    return ExpSumParams(alpha=alpha, eps=eps, d=d, n_minus=n_minus, n_plus=n_plus)
 
 
 def certified_bound(es: ExpSum) -> float:

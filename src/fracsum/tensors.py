@@ -1,15 +1,16 @@
 """Dense, CP, Tucker and tensor-train tensors with rank-controlled arithmetic.
 
 Dense tensors are plain ``numpy.ndarray`` objects.  A tensor is linearized
-column-major throughout, the first index varying fastest.  Under this
-convention the mode-1 product of a matrix with a d = 2 tensor is the
-ordinary product ``A @ X``, and the mode-i product acts on the linearized
-tensor as the Kronecker-structured matrix whose non-identity factor sits in
-position i counted from the right.
+column-major throughout, the first index varying fastest.
 :func:`multi_mode_product` is the one kernel for a matrix along every mode,
 in every format: dense tensors by one matrix product per mode, CP and Tucker
 tensors by multiplying their factors, trains through :func:`tt_mode_product`.
-The solver's rotations, Tucker densification and the HOSVD core use it.
+A product along one mode passes identities for the others; under this
+convention ``multi_mode_product(X, [A, I])`` is ``A @ X`` for a d = 2 tensor,
+and the product along mode i alone acts on the linearized tensor as the
+Kronecker-structured matrix whose non-identity factor sits in position i
+counted from the right.  The solver's rotations and Kronecker-sum product,
+Tucker densification and the HOSVD core use it.
 
 Formats:
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -49,7 +51,6 @@ __all__ = [
     "TuckerTensor",
     "cp_als",
     "hosvd",
-    "mode_product",
     "multi_mode_product",
     "tt_mode_product",
     "tt_norm",
@@ -93,19 +94,6 @@ def unfold(x: np.ndarray, mode: int) -> np.ndarray:
     if not 0 <= mode < x.ndim:
         raise IndexError(f"mode {mode} out of range for a {x.ndim}-way tensor")
     return np.moveaxis(x, mode, 0).reshape(x.shape[mode], -1, order="F")
-
-
-def mode_product(x: np.ndarray, mode: int, a: np.ndarray) -> np.ndarray:
-    """Mode-``mode`` product: contract ``a``'s columns with the tensor's mode.
-
-    Satisfies ``unfold(mode_product(x, i, a), i) == a @ unfold(x, i)``.
-    """
-    x = np.asarray(x)
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[1] != x.shape[mode]:
-        raise ValueError(f"matrix of shape {a.shape} does not match mode {mode} of extent {x.shape[mode]}")
-    y = np.tensordot(x, a, axes=([mode], [1]))
-    return np.moveaxis(y, -1, mode)
 
 
 def multi_mode_product(x, mats):
@@ -207,11 +195,13 @@ def cp_als(
     """Fit a CP approximation by alternating least squares.
 
     Runs ``restarts`` independent sweeps (the first seeded with ``init`` when
-    given, the rest with random unit-normal factors) and keeps the best fit.
-    Each mode update solves regularized normal equations (ridge 1e-12), so a
-    rank-deficient iterate cannot abort the sweep, and the fit error is
-    nonincreasing over the sweeps of one run up to that regularization.
-    Iteration stops when the relative fit change drops below ``tol``.
+    given, the rest with random unit-normal factors) and keeps the fit
+    closest to ``x``, measured on the densified fit.  Each mode update solves
+    regularized normal equations (ridge 1e-12), so a rank-deficient iterate
+    cannot abort the sweep, and the fit error is nonincreasing over the
+    sweeps of one run up to that regularization.  A run stops when the
+    change of its fit error, read off the Gram identity, drops below
+    ``tol*||x||`` or after ``max_iters`` sweeps.
 
     Parameters
     ----------
@@ -219,6 +209,8 @@ def cp_als(
         Dense target tensor.
     rank : int
         Requested number of rank-one terms (>= 1).
+    max_iters : int
+        Largest number of sweeps per run (>= 1).
     rng : numpy Generator or seed, optional
         Source of the random restarts; fixed seeds give reproducible fits.
     init : CPTensor, optional
@@ -227,13 +219,14 @@ def cp_als(
     x = np.asarray(x, dtype=float)
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be positive, got {max_iters}")
     rng = np.random.default_rng(rng)
     d = x.ndim
     norm_x = np.linalg.norm(x)
     unfoldings = [unfold(x, i) for i in range(d)]
 
-    best = None
-    best_err = np.inf
+    best, best_err = None, np.inf
     for run in range(max(1, restarts)):
         if run == 0 and init is not None:
             if init.shape != x.shape or init.rank != rank:
@@ -244,32 +237,30 @@ def cp_als(
         grams = [f.T @ f for f in factors]
 
         prev_err = np.inf
-        err = np.inf
         for _ in range(max_iters):
             for i in range(d):
-                others = [factors[j] for j in range(d) if j != i]
-                kr = _khatri_rao(others)
-                mttkrp = unfoldings[i] @ kr
-                gram = np.ones((rank, rank))
-                for j in range(d):
-                    if j != i:
-                        gram *= grams[j]
+                mttkrp = unfoldings[i] @ _khatri_rao([factors[j] for j in range(d) if j != i])
+                gram = _gram_product([grams[j] for j in range(d) if j != i])
                 factors[i] = np.linalg.solve(gram + 1e-12 * np.eye(rank), mttkrp.T).T
                 grams[i] = factors[i].T @ factors[i]
-            # fit via the Gram identity: ||x - T||^2 = ||x||^2 - 2<T,x> + ||T||^2
+            # fit via the Gram identity: ||x - T||^2 = ||x||^2 - 2<T,x> + ||T||^2;
+            # it cancels near an exact fit, so it only decides when to stop
             inner = float(np.sum(mttkrp * factors[d - 1]))
-            gram_all = np.ones((rank, rank))
-            for g in grams:
-                gram_all *= g
-            norm_t_sq = float(np.sum(gram_all))
+            norm_t_sq = float(np.sum(_gram_product(grams)))
             err = math.sqrt(max(norm_x**2 - 2.0 * inner + norm_t_sq, 0.0))
             if prev_err - err <= tol * max(norm_x, 1e-300):
                 break
             prev_err = err
+        fit = CPTensor(tuple(factors))
+        err = np.linalg.norm(x - fit.to_dense())
         if err < best_err:
-            best_err = err
-            best = CPTensor(tuple(f.copy() for f in factors))
+            best, best_err = fit, err
     return best
+
+
+def _gram_product(grams) -> np.ndarray:
+    """The entrywise product of the factor Grams ``f.T @ f``, in order: the Gram of their Khatri-Rao product."""
+    return reduce(np.multiply, grams)
 
 
 def _normalized_columns(m: np.ndarray) -> np.ndarray:
@@ -325,11 +316,11 @@ def hosvd(x: np.ndarray, ranks=None, tol: float | None = None) -> TuckerTensor:
 
     Per mode, the factor holds the leading left singular vectors of the
     unfolding; the core is the tensor contracted with the transposed factors.
-    Exactly one of ``ranks`` (per-mode cap, clipped to the mode extents) and
-    ``tol`` must be given; in tolerance mode each mode keeps the smallest
-    rank whose discarded singular values have norm at most
-    ``tol*||x||/sqrt(d)`` (see :func:`_truncation_rank`), so the total
-    reconstruction error is at most ``tol*||x||``.  The squared
+    Exactly one of ``ranks`` (one positive cap per mode, or one for all,
+    clipped to the mode extents) and ``tol`` must be given; in tolerance
+    mode each mode keeps the smallest rank whose discarded singular values
+    have norm at most ``tol*||x||/sqrt(d)`` (see :func:`_truncation_rank`),
+    so the total reconstruction error is at most ``tol*||x||``.  The squared
     reconstruction error never exceeds the sum of squared discarded singular
     values over all modes.
     """
@@ -339,13 +330,15 @@ def hosvd(x: np.ndarray, ranks=None, tol: float | None = None) -> TuckerTensor:
     if tol is not None:
         _check_nonnegative(tol, "tol")
     d = x.ndim
-    if ranks is not None and np.isscalar(ranks):
-        ranks = (int(ranks),) * d
+    if ranks is not None:
+        ranks = (int(ranks),) * d if np.isscalar(ranks) else tuple(int(r) for r in ranks)
+        if len(ranks) != d or any(r < 1 for r in ranks):
+            raise ValueError(f"ranks must be {d} positive integers, got {ranks}")
     factors = []
     for i in range(d):
         u, s, _ = np.linalg.svd(unfold(x, i), full_matrices=False)
         if ranks is not None:
-            r = min(int(ranks[i]), x.shape[i], u.shape[1])
+            r = min(ranks[i], x.shape[i], u.shape[1])
         else:
             r = _truncation_rank(s, tol * np.linalg.norm(x) / math.sqrt(d))
         factors.append(u[:, :r])
@@ -434,14 +427,16 @@ def tt_svd(x: np.ndarray, tol: float = 0.0, max_rank: int | None = None) -> TTTe
     ``i`` indices against the rest.  With a positive ``tol`` each step drops
     trailing singular values of total norm at most ``tol*||x||/sqrt(d-1)``,
     which keeps the overall relative reconstruction error within
-    ``tol`` (and a fortiori within ``tol*sqrt(d-1)``); ``max_rank`` caps every
-    rank on top of that.
+    ``tol`` (and a fortiori within ``tol*sqrt(d-1)``); ``max_rank``, when
+    given, is a positive cap on every rank on top of that.
     """
     x = np.asarray(x, dtype=float)
     _check_nonnegative(tol, "tol")
     d = x.ndim
     if d < 2:
         raise ValueError("tensor trains need at least two modes")
+    if max_rank is not None and max_rank < 1:
+        raise ValueError(f"max_rank must be positive, got {max_rank}")
     shape = x.shape
     delta = tol * np.linalg.norm(x) / math.sqrt(d - 1)
     cores = []

@@ -75,6 +75,11 @@ def vec(x) -> np.ndarray:
     return np.asarray(x).ravel(order="F")
 
 
+def mode_product(x, mode: int, a) -> np.ndarray:
+    """Mode-``mode`` product by ``np.tensordot``: ``a``'s columns contract the tensor's mode, in place."""
+    return np.moveaxis(np.tensordot(np.asarray(x), np.asarray(a), axes=([mode], [1])), -1, mode)
+
+
 def tt_add(x: TTTensor, y: TTTensor) -> TTTensor:
     """Sum of two trains by block-diagonal carriages; each rank is the sum of the inputs' ranks."""
     cx, cy = x.carriages, y.carriages

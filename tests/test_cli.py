@@ -117,6 +117,14 @@ class TestPoisson:
         assert data.shape == (1, 3)
         assert data[0, 1] <= 1e-10
 
+    def test_classical_mode_has_no_sum_to_dump(self, tmp_path, capsys):
+        args = ["poisson", "--d", 2, "--n", 12, "--alpha", 1.0, "--out", tmp_path / "x.dat"]
+        assert run(args + ["--dump-expsum", tmp_path / "sum.txt"]) == 2
+        assert capsys.readouterr().err == (
+            "fracsum: --dump-expsum needs alpha < 1: the classical mode alpha = 1 builds no sum\n"
+        )
+        assert not (tmp_path / "sum.txt").exists() and not (tmp_path / "x.dat").exists()
+
     def test_cp_format_needs_low_rank_rhs(self, tmp_path):
         code = run(
             ["poisson", "--d", 3, "--n", 8, "--alpha", 0.4, "--rhs", "inv_linear",

@@ -103,7 +103,9 @@ class TestSelectParams:
         with pytest.warns(UserWarning):
             select_params(0.999, 0.5)
 
-    @pytest.mark.parametrize("alpha,eps", [(0.0, 1e-4), (1.0, 1e-4), (1.2, 1e-4), (0.5, 0.0), (0.5, -1.0)])
+    @pytest.mark.parametrize(
+        "alpha,eps", [(0.0, 1e-4), (1.0, 1e-4), (1.2, 1e-4), (0.5, 0.0), (0.5, -1.0), (0.5, 1.0), (0.5, 1e-320)]
+    )
     def test_invalid_arguments(self, alpha, eps):
         with pytest.raises(ValueError):
             select_params(alpha, eps)
@@ -111,15 +113,16 @@ class TestSelectParams:
     def test_params_invariants_enforced(self):
         p = select_params(0.25, 1e-8)
         with pytest.raises(ValueError):
-            ExpSumParams(p.alpha, p.eps, p.d, p.h, p.n_minus - 1, p.n_plus)
+            ExpSumParams(p.alpha, p.eps, p.d, p.n_minus - 1, p.n_plus)
         with pytest.raises(ValueError):
-            ExpSumParams(p.alpha, p.eps, p.d, p.h * 1.01, p.n_minus, p.n_plus)
-        with pytest.raises(ValueError):
-            ExpSumParams(p.alpha, p.eps, p.d * 2.0, p.h, p.n_minus, p.n_plus)
+            ExpSumParams(p.alpha, p.eps, p.d * 2.0, p.n_minus, p.n_plus)
+        # the step 2*pi*d/log(1/eps) is defined only for 0 < eps < 1
+        with pytest.raises(ValueError, match=r"^eps must be in \[2.22507e-308, 1\), got 1.0$"):
+            ExpSumParams(p.alpha, 1.0, p.d, p.n_minus, p.n_plus)
         # t_{-190} = log1p(exp(-190))**4 underflows to 0 at h = 1
         d = math.pi * 0.25 / 8.0
         with pytest.raises(ValueError, match="positive normal"):
-            ExpSumParams(0.25, math.exp(-2.0 * math.pi * d), d, 1.0, 190, 1)
+            ExpSumParams(0.25, math.exp(-2.0 * math.pi * d), d, 190, 1)
 
 
 class TestParamsForTerms:
@@ -244,10 +247,11 @@ class TestBestExpsum:
         assert certified_bound(es) <= 1e-12
         assert total_error_bound(params_for_terms(0.5, 200)) > 1e-4
 
-    @pytest.mark.parametrize("alpha, n_terms", [(0.05, 10), (0.1, 200)])
+    @pytest.mark.parametrize("alpha, n_terms", [(0.05, 10), (0.1, 200), (0.25, 8)])
     def test_small_alpha(self, alpha, n_terms):
-        # narrow admissible strips (eps near 1), and a lattice that must stop
-        # before t_j underflows to zero
+        # narrow admissible strips (eps near 1), a strip search that ends on
+        # the boundary of the admitted strips (0.25, 8), and a lattice that
+        # must stop before t_j underflows to zero
         es = best_expsum(alpha, n_terms)
         assert es.exponents[0] >= np.finfo(float).tiny
         assert certified_bound(es) <= total_error_bound(params_for_terms(alpha, n_terms))
@@ -314,7 +318,7 @@ class TestBounds:
         beta = math.cos(2.0 * d / alpha)
         n_minus = math.ceil(2.0 * math.pi * d / h**2)
         n_plus = math.ceil((2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / beta) ** alpha)
-        p = ExpSumParams(alpha, eps, d, h, n_minus, n_plus)
+        p = ExpSumParams(alpha, eps, d, n_minus, n_plus)
         first_form = (strip_norm_bound(0.5, 1.0) + 1.0 / p.h + 1.0 / (p.beta * p.h**2)) * p.eps
         assert total_error_bound(p) == pytest.approx(first_form, rel=1e-14)
 

@@ -54,11 +54,12 @@ class TestKroneckerSum:
         expected = sum(np.linalg.eigvalsh(a)[0] for a in factors)
         assert ks.lambda_min == pytest.approx(expected, rel=1e-12)
 
-    def test_apply_matches_materialized_matrix(self):
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_apply_matches_materialized_matrix(self, d):
         rng = np.random.default_rng(1)
-        factors = [random_spd(rng, n) for n in (2, 3, 4)]
+        factors = [random_spd(rng, n) for n in (2, 3, 4, 3)[:d]]
         ks = KroneckerSum(factors)
-        c = rng.standard_normal((2, 3, 4))
+        c = rng.standard_normal(ks.shape)
         np.testing.assert_allclose(vec(ks.apply(c)), kron_sum_matrix(factors) @ vec(c), atol=1e-12)
 
     def test_factors_and_spectra_are_read_only(self):

@@ -13,7 +13,6 @@ from fracsum.tensors import (
     _tt_hadamard_round,
     cp_als,
     hosvd,
-    mode_product,
     multi_mode_product,
     tt_mode_product,
     tt_norm,
@@ -22,7 +21,7 @@ from fracsum.tensors import (
     unfold,
 )
 
-from _oracles import numerical_multilinear_ranks, tt_add, vec
+from _oracles import mode_product, numerical_multilinear_ranks, tt_add, vec
 
 
 def rand(shape, seed=0):
@@ -32,6 +31,11 @@ def rand(shape, seed=0):
 def random_orthonormal(n, r, seed=0):
     q, _ = np.linalg.qr(rand((n, r), seed))
     return q
+
+
+def along(x, mode, a):
+    """``x`` times ``a`` along ``mode`` alone, through the one kernel: identities on the other modes."""
+    return multi_mode_product(x, [a if i == mode else np.eye(n) for i, n in enumerate(x.shape)])
 
 
 class TestUnfoldAndVec:
@@ -62,25 +66,25 @@ class TestUnfoldAndVec:
 class TestModeProduct:
     def test_matrix_case(self):
         x, a = rand((4, 5), 1), rand((3, 4), 2)
-        np.testing.assert_allclose(mode_product(x, 0, a), a @ x, atol=1e-14)
+        np.testing.assert_allclose(along(x, 0, a), a @ x, atol=1e-14)
         b = rand((6, 5), 3)
-        np.testing.assert_allclose(mode_product(x, 1, b), x @ b.T, atol=1e-14)
+        np.testing.assert_allclose(along(x, 1, b), x @ b.T, atol=1e-14)
 
     def test_identity(self):
         x = rand((3, 4, 5), 4)
-        np.testing.assert_array_equal(mode_product(x, 1, np.eye(4)), x)
+        np.testing.assert_array_equal(along(x, 1, np.eye(4)), x)
 
     def test_commutation_of_distinct_modes(self):
         x = rand((3, 3, 3), 5)
         a, b = rand((3, 3), 6), rand((3, 3), 7)
-        left = mode_product(mode_product(x, 2, b), 0, a)
-        right = mode_product(mode_product(x, 0, a), 2, b)
+        left = along(along(x, 2, b), 0, a)
+        right = along(along(x, 0, a), 2, b)
         np.testing.assert_allclose(left, right, atol=1e-13)
 
     def test_unfold_identity(self):
         x = rand((4, 3, 6), 8)
         a = rand((5, 3), 9)
-        y = mode_product(x, 1, a)
+        y = along(x, 1, a)
         np.testing.assert_allclose(unfold(y, 1), a @ unfold(x, 1), atol=1e-13)
 
     def test_kronecker_identity_middle_mode(self):
@@ -88,11 +92,11 @@ class TestModeProduct:
         x = rand((4, 4, 4), 10)
         a = rand((4, 4), 11)
         k = np.kron(np.eye(4), np.kron(a, np.eye(4)))
-        np.testing.assert_allclose(vec(mode_product(x, 1, a)), k @ vec(x), atol=1e-12)
+        np.testing.assert_allclose(vec(along(x, 1, a)), k @ vec(x), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mode_product(rand((3, 4), 1), 0, rand((3, 5), 2))
+            along(rand((3, 4), 1), 0, rand((3, 5), 2))
 
     def test_rank_never_grows(self):
         u, v, w = rand(6, 1), rand(6, 2), rand(6, 3)
@@ -100,7 +104,7 @@ class TestModeProduct:
             np.multiply.outer(rand(6, 4), rand(6, 5)), rand(6, 6)
         )
         base = numerical_multilinear_ranks(x)
-        y = mode_product(x, 1, rand((6, 6), 7))
+        y = along(x, 1, rand((6, 6), 7))
         assert all(r <= s for r, s in zip(numerical_multilinear_ranks(y), base))
 
     def test_multi_mode_product_is_the_chain_of_mode_products(self):
@@ -193,6 +197,10 @@ class TestHosvd:
             hosvd(x)
         with pytest.raises(ValueError):
             hosvd(x, ranks=(2, 2), tol=1e-8)
+        y = rand((3, 4, 5), 2)
+        for ranks in (-1, 0, (2, 2), (2, 0, 2)):
+            with pytest.raises(ValueError, match=r"^ranks must be 3 positive integers, got "):
+                hosvd(y, ranks=ranks)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_rejects_a_bad_tolerance(self, tol):
@@ -246,6 +254,9 @@ class TestTTSvd:
         x = rand((6, 6, 6), 10)
         t = tt_svd(x, tol=0.0, max_rank=2)
         assert all(r <= 2 for r in t.ranks)
+        for cap in (0, -2):
+            with pytest.raises(ValueError, match=rf"^max_rank must be positive, got {cap}$"):
+                tt_svd(x, max_rank=cap)
 
     def test_carriage_shape_validation(self):
         with pytest.raises(ValueError):
@@ -511,6 +522,8 @@ class TestCP:
     def test_als_validates_rank(self):
         with pytest.raises(ValueError):
             cp_als(rand((3, 3), 1), rank=0)
+        with pytest.raises(ValueError, match=r"^max_iters must be positive, got 0$"):
+            cp_als(rand((3, 3), 1), rank=1, max_iters=0)
 
 
 class TestDegenerateModes:
@@ -538,8 +551,10 @@ class TestRoundTrips:
         back = tt_svd(x, tol=0.0).to_dense()
         assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
-    def test_cp_roundtrip_at_exact_rank(self):
+    @pytest.mark.parametrize("restarts", [1, 5])
+    def test_cp_roundtrip_at_exact_rank(self, restarts):
+        # the warm start is exact; no random restart may displace it
         original = CPTensor(tuple(rand((5, 2), i + 20) for i in range(3)))
         x = original.to_dense()
-        back = cp_als(x, rank=2, rng=4, init=original, restarts=1).to_dense()
+        back = cp_als(x, rank=2, rng=4, init=original, restarts=restarts).to_dense()
         assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
