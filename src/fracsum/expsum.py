@@ -105,7 +105,7 @@ class ExpSumParams:
             raise ValueError("n_minus below the certified minimum 2*pi*d/h^2")
         if self.n_plus + 1e-9 < n_plus_min:
             raise ValueError(f"n_plus below the certified minimum {n_plus_min}")
-        t_min = _lattice(self.alpha, self.h, np.array([-float(self.n_minus)]))[1][0]
+        t_min = _smallest_exponent(self.alpha, self.h, self.n_minus)
         if not t_min >= np.finfo(float).tiny:
             raise ValueError(f"smallest exponent {t_min:g} is not a positive normal float; decrease n_minus*h")
 
@@ -292,6 +292,12 @@ def build_expsum(params: ExpSumParams) -> ExpSum:
     return ExpSum(params)
 
 
+def _smallest_exponent(alpha: float, h: float, n_minus: int) -> float:
+    """The lattice's first exponent, at index ``-n_minus``; it underflows to 0 once ``n_minus*h`` is large."""
+    with np.errstate(over="ignore"):  # that index's weight may overflow to 0; only the exponent is read
+        return _lattice(alpha, h, np.array([-float(n_minus)]))[1][0]
+
+
 def _lattice(alpha: float, h: float, j: np.ndarray):
     """Quadrature weights and exponents at the lattice indices ``j``.
 
@@ -446,7 +452,8 @@ def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParam
     The strip half-width is derived from the rounded ``eps``, and the
     truncation counts are checked at the step :class:`ExpSumParams` derives
     from the two, which is ``h`` up to rounding.  ``None`` when only a strip
-    so narrow that ``eps`` rounds to 1 would be admitted.
+    so narrow that ``eps`` rounds to 1 would be admitted, or when
+    ``n_minus*h`` puts the first exponent below the normal range.
     """
 
     def at(log_inv_eps):
@@ -461,7 +468,7 @@ def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParam
     if not at(widest)[0]:
         widest = _largest(lambda log_inv_eps: at(log_inv_eps)[0], 0.0, widest, 100)
     ok, eps, d = at(widest)
-    if not ok:
+    if not ok or not _smallest_exponent(alpha, _step(d, eps), n_minus) >= np.finfo(float).tiny:
         return None
     return ExpSumParams(alpha=alpha, eps=eps, d=d, n_minus=n_minus, n_plus=n_plus)
 

@@ -345,7 +345,11 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
       error ``E`` meets ``c~`` entrywise, so it moves the product by at most
       ``max|E| * ||c|| <= ||E||_F * ||c||``;
     * the product ``F_delta * c~`` is rounded once, within ``allowance / 2``
-      of it, without ever forming its carriages whole.
+      of it, without ever forming its carriages whole.  Its right parts are
+      cut by their singular values as they are formed, so the sweep runs at
+      about the result's ranks rather than at ``ranks(F_delta) * ranks(c)``;
+      the cuts spend 1/20 of this half, which the inputs' left-orthogonal
+      form makes certain (see ``tensors._tt_hadamard_round``).
 
     Rounding commutes with the orthogonal rotations, so the two add up to the
     allowance.  The ranks of the result are certified:

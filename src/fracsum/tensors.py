@@ -28,8 +28,14 @@ at a threshold relative to its norm, ``_cp_to_tt`` turns a CP tensor (a
 train with diagonal carriages) into a compressed train, and
 ``_tt_hadamard_round`` rounds the entrywise product of two trains, both at
 an absolute threshold per step.  With a zero threshold only singular values
-below a step's noise floor are cut.  :func:`tt_svd` factorizes a dense
-tensor.
+below a step's noise floor are cut.  The product is the one rounding whose
+right parts are wider than its result needs: it first makes both inputs
+left-orthogonal (``_left_orthogonal``, the QR sweep that :func:`tt_norm`
+also runs), so that every left part of the product is contractive, and then
+cuts each right-part factor by its singular values as the right-to-left
+sweep forms it, spending 1/20 of the product's error budget on those cuts.
+``tt_round`` and ``_cp_to_tt`` make no such cut and run as before.
+:func:`tt_svd` factorizes a dense tensor.
 
 Every dense path that could outgrow memory, here and in the solver, raises
 :class:`MemoryCapError` before it forms more than ``memory_cap`` entries.
@@ -60,6 +66,10 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+# Share of a rounded entrywise product's error budget that the right-part
+# cuts of _tt_hadamard_round may spend; the left-to-right truncation gets
+# the rest.  A half share raised the tt-highd result ranks from 28 to 30.
+_CUT_SHARE = 0.05
 DEFAULT_MEMORY_CAP = 2**27  # guard of every dense path, in tensor entries
 
 
@@ -486,12 +496,31 @@ def tt_mode_product(x: TTTensor, mode: int, a: np.ndarray) -> TTTensor:
 
 
 def tt_norm(x: TTTensor) -> float:
-    """Frobenius norm via a left-to-right QR sweep (stable for any ranks)."""
+    """Frobenius norm via the left-to-right QR sweep of :func:`_left_orthogonal` (stable for any ranks).
+
+    The norm of the last core it returns is taken as the R factor of that
+    core as one column, as the sweep would take it.
+    """
+    last = _left_orthogonal(_as_cores(x))[-1]
+    return float(np.linalg.norm(np.linalg.qr(last.reshape(-1, 1), mode="r")))
+
+
+def _left_orthogonal(cores) -> list:
+    """The same train with every core but the last left-orthogonal, by a left-to-right QR sweep.
+
+    Core ``k < d-1`` of the result, unfolded with its left rank and mode
+    index as rows, has orthonormal columns, so every left part (carriages
+    ``0..k`` with the mode indices as rows) has orthonormal columns too.
+    The last core carries the R factors, so its norm is the train's.
+    """
     r = np.ones((1, 1))
-    for core in _as_cores(x):
+    out = []
+    for core in cores[:-1]:
         m = np.tensordot(r, core, axes=([1], [0]))
-        r = np.linalg.qr(m.reshape(-1, m.shape[2]), mode="r")
-    return float(np.linalg.norm(r))
+        q, r = np.linalg.qr(m.reshape(-1, m.shape[2]))
+        out.append(q.reshape(m.shape[0], m.shape[1], -1))
+    out.append(np.tensordot(r, cores[-1], axes=([1], [0])))
+    return out
 
 
 def tt_round(x: TTTensor, tol: float) -> TTTensor:
@@ -510,7 +539,7 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
     return _round_cores(lambda k, rows: cores[k][:, rows], x.shape, delta, relative=True)
 
 
-def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = False) -> TTTensor:
+def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = False, cut: float = 0.0) -> TTTensor:
     """Round a train known only through its carriages' contractions, at ``delta`` per step.
 
     ``left(k, m, rows)`` contracts the left rank of carriage ``k`` (an
@@ -536,18 +565,38 @@ def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = 
     ``delta*||x||`` instead: the first step's singular values are those of
     the first unfolding, so their norm is ``||x||`` exactly.
 
+    A positive ``cut`` also narrows each ``T_k`` as it is formed: with
+    ``T_k = U S V^T`` it becomes ``S_p V_p^T`` for the smallest ``p`` whose
+    discarded singular values have norm at most ``cut``.  This projects the
+    right part onto ``p`` orthonormal directions, so ``T_k^T`` times
+    orthonormal rows is still a right part, that of the cut train, and the
+    right sweep goes on from ``T_k`` at width ``p``.  A cut moves the train
+    by at most ``cut`` times the spectral norm of the left part it meets
+    (carriages ``0..k-1``, mode indices as rows).  When every left part has
+    spectral norm at most 1, the ``d-1`` cuts move it by at most
+    ``(d-1)*cut``.  Each left-to-right step is then within ``delta`` of the
+    cut train; the parts the steps discard of the train itself are still
+    mutually orthogonal and differ from those by orthogonal shares of the
+    cuts' changes, so the result is within ``sqrt(d-1)*delta + (d-1)*cut``.
+    The caller supplies the contractive left parts.  With ``cut`` zero no
+    SVD runs, so :func:`tt_round` and ``_cp_to_tt`` run as without it.
+
     With a zero threshold a step cuts only singular values below its noise
     floor ``len(s)*eps*s[0]`` (see :func:`_truncation_rank`); that cut, like
     any other floating-point rounding, is not counted in the bound above.
     """
     d = len(shape)
     z = one = np.ones((1, 1))
-    ts = [None] * d + [one]  # ts[k]: the R factor of the right part from carriage k on
+    ts = [None] * d + [one]  # ts[k]: the (cut) R factor of the right part from carriage k on
     for k in range(d - 1, 0, -1):
         for lo in range(0, shape[k], block):
             w = right(k, ts[k + 1], slice(lo, lo + block))
             w = w.reshape(-1, w.shape[2])
             ts[k] = np.linalg.qr(w if ts[k] is None else np.vstack([ts[k], w]), mode="r")
+        if cut > 0.0:
+            _, s, vt = np.linalg.svd(ts[k], full_matrices=False)
+            p = _truncation_rank(s, cut)
+            ts[k] = s[:p, None] * vt[:p]
 
     def carry(k, z):
         return np.concatenate([left(k, z, slice(lo, lo + block)) for lo in range(0, shape[k], block)], axis=1)
@@ -567,7 +616,7 @@ def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = 
     return _from_cores(cores)
 
 
-def _round_cores(core, shape, delta: float, relative: bool = False) -> TTTensor:
+def _round_cores(core, shape, delta: float, relative: bool = False, cut: float = 0.0) -> TTTensor:
     """:func:`_sweep_round` for a train with unit boundary ranks whose carriage ``k`` is ``core(k, rows)``.
 
     ``core(k, rows)`` is carriage ``k`` as an order-3 array (see
@@ -581,7 +630,7 @@ def _round_cores(core, shape, delta: float, relative: bool = False) -> TTTensor:
     def right(k, m, rows):
         return np.tensordot(m, core(k, rows), axes=([1], [2])).transpose(0, 2, 1)
 
-    return _sweep_round(left, right, shape, delta, block=4, relative=relative)
+    return _sweep_round(left, right, shape, delta, block=4, relative=relative, cut=cut)
 
 
 def _cp_to_tt(factors, delta: float) -> TTTensor:
@@ -608,16 +657,27 @@ def _face_split(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _tt_hadamard_round(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
-    """The entrywise product ``a * b`` rounded at absolute threshold ``delta`` per step.
+    """The entrywise product ``a * b`` rounded within ``sqrt(d-1)*delta`` in the Frobenius norm.
 
     The product's carriages are the face-split products of the inputs'
     carriages, with ranks ``ranks(a) * ranks(b)``; each is formed a few mode
     indices at a time inside the two sweeps of :func:`_sweep_round`, so the
-    product train never exists whole.  The result is within
-    ``sqrt(d-1)*delta`` of ``a * b`` in the Frobenius norm, and each of its
-    ranks is at most the product of the inputs' ranks.
+    product train never exists whole.  Each rank of the result is at most
+    the product of the inputs' ranks.
+
+    Both inputs are first made left-orthogonal by :func:`_left_orthogonal`.
+    A left part of the product is then a subset of the rows of the
+    Kronecker product of the inputs' left parts, two matrices with
+    orthonormal columns, so its spectral norm is at most 1, and the
+    right-part cuts of :func:`_sweep_round` apply: at ``cut =
+    delta/(20*sqrt(d-1))`` they spend ``sqrt(d-1)*delta/20`` of the budget
+    and the left-to-right steps, at ``0.95*delta``, the rest.  With
+    ``delta`` zero no cut is made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ga, gb = _as_cores(a), _as_cores(b)
-    return _round_cores(lambda k, rows: _face_split(ga[k][:, rows], gb[k][:, rows]), a.shape, delta)
+    ga, gb = _left_orthogonal(_as_cores(a)), _left_orthogonal(_as_cores(b))
+    cut = _CUT_SHARE * delta / math.sqrt(a.ndim - 1)
+    return _round_cores(
+        lambda k, rows: _face_split(ga[k][:, rows], gb[k][:, rows]), a.shape, (1.0 - _CUT_SHARE) * delta, cut=cut
+    )

@@ -11,6 +11,7 @@ import pytest
 from fracsum.expsum import (
     EPS_CAP,
     ExpSumParams,
+    _params_at,
     best_expsum,
     build_expsum,
     certified_bound,
@@ -255,6 +256,16 @@ class TestBestExpsum:
         es = best_expsum(alpha, n_terms)
         assert es.exponents[0] >= np.finfo(float).tiny
         assert certified_bound(es) <= total_error_bound(params_for_terms(alpha, n_terms))
+
+    @pytest.mark.parametrize("h, admissible", [(1.8, True), (2.206105879648301, False)])
+    def test_underflowing_lattice_is_inadmissible(self, h, admissible):
+        # a random draw (alpha in [0.02, 0.98], h in [0.01, 3], N <= 300):
+        # at the larger step n_minus*h puts the first exponent below the
+        # normal range, and the split is rejected with None, not an error
+        params = _params_at(0.41806961538144394, h, 160, 65)
+        assert (params is not None) == admissible
+        if admissible:
+            assert build_expsum(params).exponents[0] >= np.finfo(float).tiny
 
     def test_hand_built_sum_gets_a_priori_bound(self):
         es = cached_best(0.5, 30)

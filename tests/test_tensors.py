@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracsum import tensors
 from fracsum.tensors import (
     CPTensor,
     MemoryCapError,
@@ -460,6 +461,47 @@ class TestTTHadamardRound:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             _tt_hadamard_round(rand_tt((4, 5), (2,), 1), rand_tt((5, 4), (2,), 2), 0.0)
+
+    @pytest.mark.parametrize("rel_delta", [1e-8, 1e-3, 1e-1])
+    def test_badly_scaled_inputs(self, rel_delta):
+        # carriages scaled by 1e+-3, so neither input is left-orthogonal and
+        # their left parts are far from contractive before the kernel's QR sweep
+        def scaled(x, signs):
+            return TTTensor(tuple(10.0 ** (3 * sign) * c for sign, c in zip(signs, x.carriages)))
+
+        a = scaled(rand_tt((4, 5, 3, 4), (2, 3, 2), 11), (1, -1, 1, -1))
+        b = scaled(rand_tt((4, 5, 3, 4), (3, 2, 2), 12), (-1, 1, 1, -1))
+        delta = rel_delta * np.linalg.norm(a.to_dense() * b.to_dense())
+        self.check(a, b, delta)
+
+    @pytest.mark.parametrize("rel_delta", [1e-8, 1e-3])
+    def test_right_part_cut_fires(self, rel_delta, monkeypatch):
+        # a compressed filter of decaying exponentials, as the train solve
+        # builds it, times a train that is not left-orthogonal
+        lam, t = np.linspace(1.0, 4.0, 6), np.geomspace(0.05, 20.0, 10)
+        factors = [np.exp(-np.outer(lam, t)) for _ in range(6)]
+        factors[0] = factors[0] * np.sqrt(t)
+        a = _cp_to_tt(factors, 0.0)
+        b = rand_tt((6,) * 6, (2, 3, 3, 3, 2), 11)
+        delta = rel_delta * np.linalg.norm(a.to_dense() * b.to_dense())
+        cut = tensors._CUT_SHARE * delta / np.sqrt(5)
+        kept = []
+
+        def spy(s, threshold):
+            r = truncation_rank(s, threshold)
+            if threshold == cut:
+                kept.append(r)
+            return r
+
+        truncation_rank = tensors._truncation_rank
+        monkeypatch.setattr(tensors, "_truncation_rank", spy)
+        self.check(a, b, delta)
+        # one cut per right part T_k, k = 5 .. 1, whose width is at most the
+        # product's left rank ra*rb at carriage k; some cut must narrow it
+        widths = [ra * rb for ra, rb in zip(a.ranks, b.ranks)][::-1]
+        assert len(kept) == 5
+        assert all(r <= w for r, w in zip(kept, widths))
+        assert any(r < w for r, w in zip(kept, widths))
 
 
 class TestRankSubadditivity:
