@@ -37,15 +37,30 @@ sweep forms it, spending 1/20 of the product's error budget on those cuts.
 ``tt_round`` and ``_cp_to_tt`` make no such cut and run as before.
 :func:`tt_svd` factorizes a dense tensor.
 
+``_sweep_round`` runs on one OpenBLAS thread (``_one_blas_thread``) and then
+restores the process's count.  Its QRs and SVDs are at most a few hundred
+rows by 128 columns, and OpenBLAS runs those about 2.5x slower on two
+threads than on one; a train's rounding is then also bit-identical whatever
+thread count the process runs with.  Every other kernel, :func:`tt_svd`,
+:func:`hosvd`, :func:`cp_als` and the solver's rotations included, keeps the
+process's count: its large products gain from more threads.
+
 Every dense path that could outgrow memory, here and in the solver, raises
 :class:`MemoryCapError` before it forms more than ``memory_cap`` entries.
+:func:`tt_round`, :func:`tt_svd`, :func:`hosvd` and :func:`cp_als` reject a
+target with non-finite entries with a one-line ``ValueError``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -87,6 +102,76 @@ def _check_nonnegative(value: float, name: str) -> None:
     """Raise a one-line ``ValueError`` unless ``value`` is finite and nonnegative (NaN fails too)."""
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def _check_finite(arrays, name: str) -> None:
+    """Raise a one-line ``ValueError`` unless every entry of ``arrays`` is finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(f"{name} has non-finite entries")
+
+
+# (get, set) symbol pairs of the thread count, in the order they are looked for
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
+_blas_depth = 0  # open _one_blas_thread blocks, over all Python threads
+_blas_saved = 0  # the thread count the outermost block restores
+
+
+@cache
+def _openblas():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy bundles, or None where none is found.
+
+    numpy's wheels ship it in ``numpy.libs`` (Linux, Windows) or
+    ``numpy/.dylibs`` (macOS); a numpy built against another BLAS has none.
+    """
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    for path in sorted(paths + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the previous count after it.
+
+    Blocks may nest and run in several Python threads at once: the first to
+    open saves the count and the last to close restores it, under one lock.
+    The count is the process's, so while any block is open, BLAS calls of
+    other Python threads run on one thread too.  Where numpy bundles no
+    OpenBLAS, the block runs unchanged.
+    """
+    global _blas_depth, _blas_saved
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +312,7 @@ def cp_als(
         Warm start used for the first restart.
     """
     x = np.asarray(x, dtype=float)
+    _check_finite([x], "x")
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     if max_iters < 1:
@@ -335,6 +421,7 @@ def hosvd(x: np.ndarray, ranks=None, tol: float | None = None) -> TuckerTensor:
     values over all modes.
     """
     x = np.asarray(x, dtype=float)
+    _check_finite([x], "x")
     if (ranks is None) == (tol is None):
         raise ValueError("pass exactly one of ranks and tol")
     if tol is not None:
@@ -441,6 +528,7 @@ def tt_svd(x: np.ndarray, tol: float = 0.0, max_rank: int | None = None) -> TTTe
     given, is a positive cap on every rank on top of that.
     """
     x = np.asarray(x, dtype=float)
+    _check_finite([x], "x")
     _check_nonnegative(tol, "tol")
     d = x.ndim
     if d < 2:
@@ -533,12 +621,14 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
     zero only singular values below the noise floor
     ``len(s)*eps*s[0]`` of a step are cut.
     """
+    _check_finite(x.carriages, "x")
     _check_nonnegative(tol, "tol")
     cores = _as_cores(x)
     delta = tol / math.sqrt(x.ndim - 1)
     return _round_cores(lambda k, rows: cores[k][:, rows], x.shape, delta, relative=True)
 
 
+@_one_blas_thread()
 def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = False, cut: float = 0.0) -> TTTensor:
     """Round a train known only through its carriages' contractions, at ``delta`` per step.
 
@@ -584,6 +674,10 @@ def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = 
     With a zero threshold a step cuts only singular values below its noise
     floor ``len(s)*eps*s[0]`` (see :func:`_truncation_rank`); that cut, like
     any other floating-point rounding, is not counted in the bound above.
+
+    The whole rounding, callbacks included, runs on one OpenBLAS thread (see
+    :func:`_one_blas_thread`), so its result does not depend on the process's
+    thread count.
     """
     d = len(shape)
     z = one = np.ones((1, 1))

@@ -568,6 +568,33 @@ class TestCP:
             cp_als(rand((3, 3), 1), rank=1, max_iters=0)
 
 
+def with_nan(shape):
+    x = rand(shape, 7)
+    x[(1,) * len(shape)] = np.nan
+    return x
+
+
+class TestNonFiniteInput:
+    """A NaN in the target fails early with one line naming it, not inside LAPACK or with a ``None`` fit."""
+
+    def test_tt_round(self):
+        x = TTTensor((rand((4, 2), 1), with_nan((2, 5, 3)), rand((3, 4), 2)))
+        with pytest.raises(ValueError, match=r"^x has non-finite entries$"):
+            tt_round(x, 1e-8)
+
+    def test_tt_svd(self):
+        with pytest.raises(ValueError, match=r"^x has non-finite entries$"):
+            tt_svd(with_nan((4, 5, 3)), tol=1e-8)
+
+    def test_hosvd(self):
+        with pytest.raises(ValueError, match=r"^x has non-finite entries$"):
+            hosvd(with_nan((4, 5, 3)), ranks=2)
+
+    def test_cp_als(self):
+        with pytest.raises(ValueError, match=r"^x has non-finite entries$"):
+            cp_als(with_nan((4, 5, 3)), rank=2, rng=0)
+
+
 class TestDegenerateModes:
     def test_singleton_modes_everywhere(self):
         x = rand((3, 1, 4), 5)
