@@ -449,28 +449,26 @@ def _rank_step(alpha: float, h: float, n_terms: int, reach_minus: float):
 def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParams | None:
     """Parameters for a given step and split, with the widest strip they admit.
 
-    The strip half-width is derived from the rounded ``eps``, and the
-    truncation counts are checked at the step :class:`ExpSumParams` derives
-    from the two, which is ``h`` up to rounding.  ``None`` when only a strip
-    so narrow that ``eps`` rounds to 1 would be admitted, or when
-    ``n_minus*h`` puts the first exponent below the normal range.
+    The strip half-width is derived from the rounded ``eps``, so that the
+    step :class:`ExpSumParams` derives from the two is ``h`` up to rounding.
+    The widest strip is the largest ``log(1/eps)`` at which
+    :class:`ExpSumParams` accepts the set, by bisection.  ``None`` when it
+    accepts none, for example when ``n_minus*h`` puts the first exponent
+    below the normal range.
     """
 
     def at(log_inv_eps):
         eps = math.exp(-log_inv_eps)
         d = h * math.log(1.0 / eps) / (2.0 * math.pi)
-        if not d > 0.0:
-            return False, eps, d
-        n_minus_min, n_plus_min = _truncation_minima(alpha, d, _step(d, eps))
-        return n_minus + 1e-9 >= n_minus_min and n_plus + 1e-9 >= n_plus_min, eps, d
+        try:
+            return ExpSumParams(alpha=alpha, eps=eps, d=d, n_minus=n_minus, n_plus=n_plus)
+        except ValueError:
+            return None
 
     widest = 2.0 * math.pi * (math.pi * alpha / 8.0) / h
-    if not at(widest)[0]:
-        widest = _largest(lambda log_inv_eps: at(log_inv_eps)[0], 0.0, widest, 100)
-    ok, eps, d = at(widest)
-    if not ok or not _smallest_exponent(alpha, _step(d, eps), n_minus) >= np.finfo(float).tiny:
-        return None
-    return ExpSumParams(alpha=alpha, eps=eps, d=d, n_minus=n_minus, n_plus=n_plus)
+    if at(widest) is None:
+        widest = _largest(lambda log_inv_eps: at(log_inv_eps) is not None, 0.0, widest, 100)
+    return at(widest)
 
 
 def certified_bound(es: ExpSum) -> float:

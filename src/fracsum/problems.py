@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
     if len(grids) != spec.d:
         raise ValueError(f"expected {spec.d} grids, got {len(grids)}")
     points = [g.points for g in grids]
-    total = int(np.prod([g.n for g in grids]))
+    total = math.prod(g.n for g in grids)
 
     if spec.kind == "separable":
         x, y, z = points

@@ -4,7 +4,7 @@ Dense tensors are plain ``numpy.ndarray`` objects.  A tensor is linearized
 column-major throughout, the first index varying fastest.
 :func:`multi_mode_product` is the one kernel for a matrix along every mode,
 in every format: dense tensors by one matrix product per mode, CP and Tucker
-tensors by multiplying their factors, trains through :func:`tt_mode_product`.
+tensors by multiplying their factors, trains by one pass over their carriages.
 A product along one mode passes identities for the others; under this
 convention ``multi_mode_product(X, [A, I])`` is ``A @ X`` for a d = 2 tensor,
 and the product along mode i alone acts on the linearized tensor as the
@@ -197,8 +197,9 @@ def multi_mode_product(x, mats):
     Dense: each step contracts the leading axis by one matrix product on a
     reshaped view and appends the result as the last axis, so after ``d``
     steps the modes are back in order.  CP and Tucker tensors multiply their
-    factors (Tucker factors must stay orthonormal), trains call
-    :func:`tt_mode_product` per mode.
+    factors (Tucker factors must stay orthonormal), trains multiply each
+    carriage along its mode index in one pass, as :func:`tt_mode_product`
+    does for one mode.
     """
     if not isinstance(x, (CPTensor, TuckerTensor, TTTensor)):
         x = np.asarray(x)
@@ -211,9 +212,7 @@ def multi_mode_product(x, mats):
     if isinstance(x, (CPTensor, TuckerTensor)):
         return replace(x, factors=tuple(a @ f for a, f in zip(mats, x.factors)))
     if isinstance(x, TTTensor):
-        for i, a in enumerate(mats):
-            x = tt_mode_product(x, i, a)
-        return x
+        return _from_cores([np.einsum("rns,mn->rms", c, a) for c, a in zip(_as_cores(x), mats)])
     for a in mats:
         x = (x.reshape(x.shape[0], -1).T @ a.T).reshape(x.shape[1:] + (a.shape[0],))
     return x

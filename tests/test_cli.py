@@ -194,6 +194,23 @@ class TestTTHighD:
         assert math.isnan(err)
         assert rank >= 1
 
+    def test_dimension_16_runs_in_train_format(self, tmp_path):
+        # 16**16 entries: the right-hand side is never densified
+        out = tmp_path / "tt16.dat"
+        assert run(["tt-highd", "--d", 16, "--n", 16, "--N", 10, "--out", out]) == 0
+        data = load(out)
+        assert data.shape == (1, 4)
+        d, wall, err, rank = data[0]
+        assert d == 16 and math.isnan(err) and rank >= 1
+
+    def test_rhs_is_the_exact_train_below_the_cap(self, tmp_path, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("tt-highd sampled or compressed a dense right-hand side")
+
+        monkeypatch.setattr(fracsum.cli, "sample_rhs", reached)
+        monkeypatch.setattr(fracsum.cli, "tt_svd", reached)
+        assert run(["tt-highd", "--d", 5, "--n", 8, "--N", 20, "--out", tmp_path / "tt5.dat"]) == 0
+
     def test_multiple_dimensions_one_row_each(self, tmp_path):
         out = tmp_path / "tt.dat"
         assert run(["tt-highd", "--d", 3, "--d", 4, "--n", 6, "--N", 30, "--out", out]) == 0

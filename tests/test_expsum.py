@@ -267,6 +267,13 @@ class TestBestExpsum:
         if admissible:
             assert build_expsum(params).exponents[0] >= np.finfo(float).tiny
 
+    def test_widest_strip_below_the_normal_range_is_not_an_error(self):
+        # at this small step the strip pi*alpha/8 would need eps < tiny; the
+        # search returns the widest set ExpSumParams accepts instead
+        params = _params_at(0.751337768152419, 0.0025538370338923696, 1774, 742)
+        assert params is not None and params.eps >= np.finfo(float).tiny
+        assert params.h == pytest.approx(0.0025538370338923696, rel=1e-12)
+
     def test_hand_built_sum_gets_a_priori_bound(self):
         es = cached_best(0.5, 30)
         assert certified_bound(es) < total_error_bound(es.params)

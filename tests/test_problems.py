@@ -122,6 +122,14 @@ class TestSampleRhs:
         with pytest.raises(MemoryCapError):
             sample_rhs(spec, grids, memory_cap=100)
 
+    def test_custom_count_does_not_wrap(self):
+        # 16**16 = 2**64 entries wraps to 0 in int64; fn must never run
+        def sentinel(*coords):
+            raise AssertionError("custom rhs sampled above the cap")
+
+        with pytest.raises(MemoryCapError):
+            sample_rhs(RhsSpec(kind="custom", d=16, fn=sentinel), [Grid1D(16)] * 16)
+
     def test_grid_count_must_match(self):
         with pytest.raises(ValueError):
             sample_rhs(RhsSpec(kind="inv_linear", d=3), [Grid1D(4)] * 2)

@@ -146,6 +146,15 @@ class TestMultiModeProductFormats:
             dense = multi_mode_product(x.to_dense(), mats)
             np.testing.assert_allclose(y.to_dense(), dense, rtol=0, atol=1e-13 * np.linalg.norm(dense))
 
+    def test_train_pass_is_the_chain_of_tt_mode_products_bit_for_bit(self):
+        x = rand_tt((4, 5, 3, 6), (2, 3, 2), 42)
+        mats = [rand((m, n), 60 + i) for i, (m, n) in enumerate(zip((3, 5, 2, 4), x.shape))]
+        chain = x
+        for i, a in enumerate(mats):
+            chain = tt_mode_product(chain, i, a)
+        y = multi_mode_product(x, mats)
+        assert [c.tobytes() for c in y.carriages] == [c.tobytes() for c in chain.carriages]
+
     @pytest.mark.parametrize("kind", ["cp", "tucker", "tt"])
     def test_one_line_error_for_a_wrong_count_or_extent(self, kind):
         x = formatted(kind, (4, 5, 3), 41)
