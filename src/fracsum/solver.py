@@ -196,7 +196,10 @@ def _tt_filter(ks: KroneckerSum, es: ExpSum, delta: float) -> TTTensor:
     ``ks`` keeps the last train it built.  Equal sums have the same
     parameters, hence the same arrays, and so share the train.  The entry is
     one tuple, read and replaced whole, so concurrent solves can only rebuild
-    it, never see a train of another sum or threshold.
+    it, never see a train of another sum or threshold.  The train is the
+    output of ``tensors._sweep_round``, whose carriages but the last are SVD
+    ``U`` factors, so the product rounding finds it left-orthogonal and runs
+    no QR sweep on it.
     """
     memo = ks._tt_filter_memo
     if memo is not None and memo[0] == es and memo[1] == delta:
@@ -345,11 +348,15 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
       error ``E`` meets ``c~`` entrywise, so it moves the product by at most
       ``max|E| * ||c|| <= ||E||_F * ||c||``;
     * the product ``F_delta * c~`` is rounded once, within ``allowance / 2``
-      of it, without ever forming its carriages whole.  Its right parts are
-      cut by their singular values as they are formed, so the sweep runs at
-      about the result's ranks rather than at ``ranks(F_delta) * ranks(c)``;
-      the cuts spend 1/20 of this half, which the inputs' left-orthogonal
-      form makes certain (see ``tensors._tt_hadamard_round``).
+      of it, without ever forming its carriages: each contraction with one
+      goes through the carriages of ``F_delta`` and ``c~``, and each right
+      part's triangular factor takes one QR per carriage.  The right parts
+      are cut by their singular values as they are formed, so the sweep runs
+      at about the result's ranks rather than at
+      ``ranks(F_delta) * ranks(c)``; the cuts spend 1/20 of this half, which
+      the inputs' left-orthogonal form makes certain (see
+      ``tensors._tt_hadamard_round``).  ``F_delta`` is left-orthogonal as it
+      is built, so only ``c~`` may need the QR sweep that makes it so.
 
     Rounding commutes with the orthogonal rotations, so the two add up to the
     allowance.  The ranks of the result are certified:

@@ -31,19 +31,24 @@ an absolute threshold per step.  With a zero threshold only singular values
 below a step's noise floor are cut.  The product is the one rounding whose
 right parts are wider than its result needs: it first makes both inputs
 left-orthogonal (``_left_orthogonal``, the QR sweep that :func:`tt_norm`
-also runs), so that every left part of the product is contractive, and then
-cuts each right-part factor by its singular values as the right-to-left
-sweep forms it, spending 1/20 of the product's error budget on those cuts.
-``tt_round`` and ``_cp_to_tt`` make no such cut and run as before.
-:func:`tt_svd` factorizes a dense tensor.
+also runs; a train that ``_sweep_round`` returned already is), so that every
+left part of the product is contractive, and then cuts each right-part
+factor by its singular values as the right-to-left sweep forms it, spending
+1/20 of the product's error budget on those cuts.  Its carriages, the
+face-split products of the inputs' carriages, are never formed: each
+contraction with one is a GEMM with one input's carriage and a product
+batched over the mode index with the other's (``_kron_contract``).
+``tt_round`` and ``_cp_to_tt`` make no such cut.  :func:`tt_svd` factorizes
+a dense tensor.
 
 ``_sweep_round`` runs on one OpenBLAS thread (``_one_blas_thread``) and then
-restores the process's count.  Its QRs and SVDs are at most a few hundred
-rows by 128 columns, and OpenBLAS runs those about 2.5x slower on two
-threads than on one; a train's rounding is then also bit-identical whatever
-thread count the process runs with.  Every other kernel, :func:`tt_svd`,
-:func:`hosvd`, :func:`cp_als` and the solver's rotations included, keeps the
-process's count: its large products gain from more threads.
+restores the process's count.  Its QRs and SVDs are at most about a
+thousand rows by 128 columns, and OpenBLAS runs those 1.3 to 2 times slower
+on two threads than on one; a train's rounding is then also bit-identical
+whatever thread count the process runs with.  Every other kernel,
+:func:`tt_svd`, :func:`hosvd`, :func:`cp_als` and the solver's rotations
+included, keeps the process's count: its large products gain from more
+threads.
 
 Every dense path that could outgrow memory, here and in the solver, raises
 :class:`MemoryCapError` before it forms more than ``memory_cap`` entries.
@@ -614,21 +619,29 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
     """Recompress a train so that its relative error stays within ``tol``; ranks never increase.
 
     The two sweeps of :func:`_sweep_round` run over the train's own
-    carriages at the per-step threshold ``tol*||x||/sqrt(d-1)``.  ``||x||``
-    is read off the first truncation step, whose singular values are those
-    of the first unfolding, so no separate norm sweep runs.  With ``tol``
-    zero only singular values below the noise floor
-    ``len(s)*eps*s[0]`` of a step are cut.
+    carriages, one QR per carriage, at the per-step threshold
+    ``tol*||x||/sqrt(d-1)``.  ``||x||`` is read off the first truncation
+    step, whose singular values are those of the first unfolding, so no
+    separate norm sweep runs.  With ``tol`` zero only singular values below
+    the noise floor ``len(s)*eps*s[0]`` of a step are cut.
     """
     _check_finite(x.carriages, "x")
     _check_nonnegative(tol, "tol")
     cores = _as_cores(x)
-    delta = tol / math.sqrt(x.ndim - 1)
-    return _round_cores(lambda k, rows: cores[k][:, rows], x.shape, delta, relative=True)
+
+    def left(k, m, rows):
+        return np.tensordot(m, cores[k][:, rows], axes=1)
+
+    def right(k, m, rows):
+        return np.tensordot(m, cores[k][:, rows], axes=([1], [2])).transpose(0, 2, 1)
+
+    return _sweep_round(left, right, x.shape, tol / math.sqrt(x.ndim - 1), relative=True)
 
 
 @_one_blas_thread()
-def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = False, cut: float = 0.0) -> TTTensor:
+def _sweep_round(
+    left, right, shape, delta: float, block: int | None = None, relative: bool = False, cut: float = 0.0
+) -> TTTensor:
     """Round a train known only through its carriages' contractions, at ``delta`` per step.
 
     ``left(k, m, rows)`` contracts the left rank of carriage ``k`` (an
@@ -638,17 +651,18 @@ def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = 
     train is closed by ones: ``m`` is ``[[1]]`` at carriage 0's left rank and
     the last one's right rank (broadcast where that rank exceeds one), and
     the last carriage is summed over its right rank.  ``block`` mode indices
-    are contracted at a time, so no carriage is ever formed whole.
+    are contracted at a time, all of a carriage's when it is None.
 
     Right to left, only the triangular factor ``T_k`` of each right part
     (carriages ``k..d-1``, its left rank as columns) is kept:
     ``T_k`` is the R factor of the right contraction of ``T_{k+1}``,
-    accumulated block by block as ``qr(vstack([T_k, block]))``.  Left to
-    right, ``M_k`` is the carry ``Z_k`` (``[[1]]`` for ``k = 0``) contracted
-    with carriage ``k``.  The right part is ``T_{k+1}^T`` times orthonormal
-    rows, so the singular values of ``M_k T_{k+1}^T`` are exactly those of
-    the unfolding against the basis kept so far; truncating them at
-    ``delta`` gives carriage ``k`` as ``U`` and the next carry ``U^T M_k``.  The errors of the steps are
+    accumulated block by block as ``qr(vstack([T_k, block]))``, so by one QR
+    per carriage when ``block`` is None.  Left to right, ``M_k`` is the
+    carry ``Z_k`` (``[[1]]`` for ``k = 0``) contracted with carriage ``k``.
+    The right part is ``T_{k+1}^T`` times orthonormal rows, so the singular
+    values of ``M_k T_{k+1}^T`` are exactly those of the unfolding against
+    the basis kept so far; truncating them at ``delta`` gives carriage ``k``
+    as ``U`` and the next carry ``U^T M_k``.  The errors of the steps are
     mutually orthogonal, so the result is within ``sqrt(d-1)*delta`` of the
     train in the Frobenius norm.  With ``relative`` the threshold is
     ``delta*||x||`` instead: the first step's singular values are those of
@@ -679,11 +693,16 @@ def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = 
     thread count.
     """
     d = len(shape)
+
+    def blocks(k):
+        step = block or shape[k]
+        return [slice(lo, lo + step) for lo in range(0, shape[k], step)]
+
     z = one = np.ones((1, 1))
     ts = [None] * d + [one]  # ts[k]: the (cut) R factor of the right part from carriage k on
     for k in range(d - 1, 0, -1):
-        for lo in range(0, shape[k], block):
-            w = right(k, ts[k + 1], slice(lo, lo + block))
+        for rows in blocks(k):
+            w = right(k, ts[k + 1], rows)
             w = w.reshape(-1, w.shape[2])
             ts[k] = np.linalg.qr(w if ts[k] is None else np.vstack([ts[k], w]), mode="r")
         if cut > 0.0:
@@ -692,7 +711,7 @@ def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = 
             ts[k] = s[:p, None] * vt[:p]
 
     def carry(k, z):
-        return np.concatenate([left(k, z, slice(lo, lo + block)) for lo in range(0, shape[k], block)], axis=1)
+        return np.concatenate([left(k, z, rows) for rows in blocks(k)], axis=1)
 
     cores = []
     for k in range(d - 1):
@@ -707,23 +726,6 @@ def _sweep_round(left, right, shape, delta: float, block: int, relative: bool = 
         z = u.T @ m
     cores.append(carry(d - 1, z).sum(axis=2, keepdims=True))
     return _from_cores(cores)
-
-
-def _round_cores(core, shape, delta: float, relative: bool = False, cut: float = 0.0) -> TTTensor:
-    """:func:`_sweep_round` for a train with unit boundary ranks whose carriage ``k`` is ``core(k, rows)``.
-
-    ``core(k, rows)`` is carriage ``k`` as an order-3 array (see
-    :func:`_as_cores`), restricted to the mode indices ``rows``; it is asked
-    for four mode indices at a time.
-    """
-
-    def left(k, m, rows):
-        return np.tensordot(m, core(k, rows), axes=1)
-
-    def right(k, m, rows):
-        return np.tensordot(m, core(k, rows), axes=([1], [2])).transpose(0, 2, 1)
-
-    return _sweep_round(left, right, shape, delta, block=4, relative=relative, cut=cut)
 
 
 def _cp_to_tt(factors, delta: float) -> TTTensor:
@@ -749,28 +751,66 @@ def _face_split(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (g[:, None, :, :, None] * h[None, :, :, None, :]).reshape(ra * rb, n, sa * sb)
 
 
+def _kron_contract(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.tensordot(z, _face_split(a, b), axes=1)`` without forming the face-split carriage.
+
+    ``a`` is ``ra x n x sa``, ``b`` is ``rb x n x sb`` and ``z`` has ``ra*rb``
+    columns, ``a``'s rank the slower; the result is ``(len(z), n, sa*sb)``.
+    One GEMM contracts ``b``'s rank and one matrix product per mode index
+    contracts ``a``'s, ``O(len(z)*n*ra*sb*(rb + sa))`` operations instead of
+    the ``O(len(z)*n*ra*rb*sa*sb)`` of the formed carriage.  Passed both
+    carriages with their rank axes swapped, it contracts the right ranks.
+    """
+    (ra, n, sa), (rb, _, sb) = a.shape, b.shape
+    q = len(z)
+    # rows (mode index, sb), columns (q, ra)
+    y = b.transpose(1, 2, 0).reshape(n * sb, rb) @ z.reshape(q * ra, rb).T
+    y = np.matmul(y.reshape(n, sb * q, ra), a.transpose(1, 0, 2))
+    return y.reshape(n, sb, q, sa).transpose(2, 0, 3, 1).reshape(q, n, sa * sb)
+
+
+def _is_left_orthogonal(cores) -> bool:
+    """Whether cores ``0..d-2``, unfolded with their left rank and mode index as rows, have orthonormal columns.
+
+    Orthonormal means ``max|C^T C - I| <= _ORTHO_TOL``; a NaN fails.
+    """
+    for c in cores[:-1]:
+        m = c.reshape(-1, c.shape[2])
+        if not np.max(np.abs(m.T @ m - np.eye(m.shape[1]))) <= _ORTHO_TOL:
+            return False
+    return True
+
+
 def _tt_hadamard_round(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
     """The entrywise product ``a * b`` rounded within ``sqrt(d-1)*delta`` in the Frobenius norm.
 
     The product's carriages are the face-split products of the inputs'
-    carriages, with ranks ``ranks(a) * ranks(b)``; each is formed a few mode
-    indices at a time inside the two sweeps of :func:`_sweep_round`, so the
-    product train never exists whole.  Each rank of the result is at most
-    the product of the inputs' ranks.
+    carriages, with ranks ``ranks(a) * ranks(b)``.  They are never formed:
+    the two sweeps of :func:`_sweep_round` meet each one through
+    :func:`_kron_contract`, on its left rank or its right, one carriage at a
+    time, so each right part's triangular factor takes one QR per carriage.
+    Each rank of the result is at most the product of the inputs' ranks.
 
-    Both inputs are first made left-orthogonal by :func:`_left_orthogonal`.
-    A left part of the product is then a subset of the rows of the
-    Kronecker product of the inputs' left parts, two matrices with
-    orthonormal columns, so its spectral norm is at most 1, and the
-    right-part cuts of :func:`_sweep_round` apply: at ``cut =
-    delta/(20*sqrt(d-1))`` they spend ``sqrt(d-1)*delta/20`` of the budget
-    and the left-to-right steps, at ``0.95*delta``, the rest.  With
-    ``delta`` zero no cut is made.
+    An input whose cores ``0..d-2`` are not yet left-orthogonal (see
+    :func:`_is_left_orthogonal`) is first made so by :func:`_left_orthogonal`;
+    a train that :func:`_sweep_round` returned is left-orthogonal already,
+    its carriages being SVD ``U`` factors, and is used as it is.  A left
+    part of the product is then a subset of the rows of the Kronecker
+    product of the inputs' left parts, two matrices with orthonormal
+    columns, so its spectral norm is at most 1, and the right-part cuts of
+    :func:`_sweep_round` apply: at ``cut = delta/(20*sqrt(d-1))`` they spend
+    ``sqrt(d-1)*delta/20`` of the budget and the left-to-right steps, at
+    ``0.95*delta``, the rest.  With ``delta`` zero no cut is made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ga, gb = _left_orthogonal(_as_cores(a)), _left_orthogonal(_as_cores(b))
+    ga, gb = (c if _is_left_orthogonal(c) else _left_orthogonal(c) for c in (_as_cores(a), _as_cores(b)))
+
+    def left(k, m, rows):
+        return _kron_contract(m, ga[k][:, rows], gb[k][:, rows])
+
+    def right(k, m, rows):
+        return _kron_contract(m, ga[k][:, rows].transpose(2, 1, 0), gb[k][:, rows].transpose(2, 1, 0))
+
     cut = _CUT_SHARE * delta / math.sqrt(a.ndim - 1)
-    return _round_cores(
-        lambda k, rows: _face_split(ga[k][:, rows], gb[k][:, rows]), a.shape, (1.0 - _CUT_SHARE) * delta, cut=cut
-    )
+    return _sweep_round(left, right, a.shape, (1.0 - _CUT_SHARE) * delta, cut=cut)

@@ -1,10 +1,12 @@
 """Independent reference computations shared by the test modules.
 
 Everything here is deliberately written against the raw formulas, not the
-package code paths, so the tests compare two separate routes.  The one
-exception, :func:`exp_kron_apply`, drives the solver's rotation kernel with
+package code paths, so the tests compare two separate routes.  There are two
+exceptions: :func:`exp_kron_apply` drives the solver's rotation kernel with
 another filter, so that the kernel is checked against a brute-force matrix
-exponential.
+exponential, and :func:`tt_hadamard_round_face_split` drives the rounding
+sweeps with the product's carriages formed, so that the structured
+contraction of ``tensors._tt_hadamard_round`` is checked against them.
 """
 
 import cmath
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from fracsum.solver import _eigenvalue_sums, _in_eigenbasis
-from fracsum.tensors import TTTensor
+from fracsum.tensors import _CUT_SHARE, TTTensor, _as_cores, _face_split, _left_orthogonal, _sweep_round
 
 
 def ref_power(xi: float, alpha: float) -> float:
@@ -92,6 +94,25 @@ def tt_add(x: TTTensor, y: TTTensor) -> TTTensor:
         cars.append(block)
     cars.append(np.vstack([cx[-1], cy[-1]]))
     return TTTensor(tuple(cars))
+
+
+def tt_hadamard_round_face_split(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
+    """``tensors._tt_hadamard_round`` with the product's carriages formed by ``_face_split``, four mode indices at a time.
+
+    Both inputs are made left-orthogonal by ``_left_orthogonal`` and each
+    right part's triangular factor grows by one QR per block, with the same
+    split of ``delta`` between the right-part cuts and the left-to-right steps.
+    """
+    ga, gb = _left_orthogonal(_as_cores(a)), _left_orthogonal(_as_cores(b))
+
+    def left(k, m, rows):
+        return np.tensordot(m, _face_split(ga[k][:, rows], gb[k][:, rows]), axes=1)
+
+    def right(k, m, rows):
+        return np.tensordot(m, _face_split(ga[k][:, rows], gb[k][:, rows]), axes=([1], [2])).transpose(0, 2, 1)
+
+    cut = _CUT_SHARE * delta / math.sqrt(a.ndim - 1)
+    return _sweep_round(left, right, a.shape, (1.0 - _CUT_SHARE) * delta, block=4, cut=cut)
 
 
 def exp_kron_apply(ks, c, t: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from fracsum.expsum import (
     select_params,
     total_error_bound,
 )
-from fracsum import solver
+from fracsum import solver, tensors
 from fracsum.problems import Grid1D, RhsSpec, laplacian_1d, sample_rhs
 from fracsum.solver import (
     KroneckerSum,
@@ -28,7 +28,7 @@ from fracsum.solver import (
     solve_tt,
     solve_tucker,
 )
-from fracsum.tensors import CPTensor, TTTensor, TuckerTensor, hosvd, tt_svd
+from fracsum.tensors import CPTensor, TTTensor, TuckerTensor, _as_cores, hosvd, tt_svd
 
 from _oracles import exp_kron_apply, expm_taylor, kron_sum_matrix, random_spd, vec
 
@@ -375,13 +375,53 @@ class TestTTFilterMemo:
             calls.pop()  # the fresh operator's build
             assert _same_tt_solve(got, want)
 
-    def test_holds_only_the_last_sum(self, setup):
+    def test_an_equal_sum_reuses_the_train(self, setup):
         factors, c, calls = setup
         ks = KroneckerSum(factors)
         first = solve_tt(ks, c, build_expsum(params_for_terms(0.5, 30)))
         again = solve_tt(ks, c, build_expsum(params_for_terms(0.5, 30)))
-        assert len(calls) == 1  # an equal sum reuses the kept train
+        assert len(calls) == 1
         assert _same_tt_solve(again, first)
+
+    def test_the_product_receives_a_left_orthogonal_filter(self, setup, monkeypatch):
+        factors, c, _ = setup
+        received = []
+        hadamard_round = solver._tt_hadamard_round
+
+        def spy(a, b, delta):
+            received.append(a)
+            return hadamard_round(a, b, delta)
+
+        monkeypatch.setattr(solver, "_tt_hadamard_round", spy)
+        ks = KroneckerSum(factors)
+        es = build_expsum(params_for_terms(0.5, 40))
+        for round_tol in (0.0, 1e-10, 1e-10):
+            solve_tt(ks, c, es, round_tol=round_tol)
+        assert received[0] is not received[1] is received[2] is ks._tt_filter_memo[2]
+        for filt in received:
+            for core in _as_cores(filt)[:-1]:
+                m = core.reshape(-1, core.shape[2])
+                assert np.linalg.norm(m.T @ m - np.eye(m.shape[1])) <= 1e-13
+
+    def test_repeated_solve_runs_no_qr_sweep_on_the_filter(self, setup, monkeypatch):
+        factors, c, _ = setup
+        swept = []
+        left_orthogonal = tensors._left_orthogonal
+
+        def counted(cores):
+            swept.append(tuple(core.shape[2] for core in cores[:-1]))
+            return left_orthogonal(cores)
+
+        monkeypatch.setattr(tensors, "_left_orthogonal", counted)
+        ks = KroneckerSum(factors)
+        es = build_expsum(params_for_terms(0.5, 40))
+        solve_tt(ks, c, es, round_tol=1e-10)
+        swept.clear()
+        solve_tt(ks, c, es, round_tol=1e-10)
+        # only the sweep of the norm of c: c comes from tt_svd, so it and the
+        # rotated c that the product receives are left-orthogonal already
+        assert ks._tt_filter_memo[2].ranks != c.ranks
+        assert swept == [c.ranks]
 
 
 class TestFormatConsistency:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsum import tensors
 from fracsum.tensors import (
@@ -22,7 +24,7 @@ from fracsum.tensors import (
     unfold,
 )
 
-from _oracles import mode_product, numerical_multilinear_ranks, tt_add, vec
+from _oracles import mode_product, numerical_multilinear_ranks, tt_add, tt_hadamard_round_face_split, vec
 
 
 def rand(shape, seed=0):
@@ -436,6 +438,27 @@ class TestTTHadamardRound:
         assert all(r <= ra * rb for r, ra, rb in zip(p.ranks, a.ranks, b.ranks))
         return p
 
+    def check_against_face_split(self, a, b, delta):
+        """The kernel matches the rounding of the formed face-split carriages: equal ranks, within 1e-13 relative."""
+        p, q = _tt_hadamard_round(a, b, delta), tt_hadamard_round_face_split(a, b, delta)
+        assert p.ranks == q.ranks
+        ref = q.to_dense()
+        assert np.linalg.norm(p.to_dense() - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_face_split_rounding(self, data):
+        d = data.draw(st.integers(2, 5))
+        shape = data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+        ranks_a, ranks_b = (data.draw(st.lists(st.integers(1, 4), min_size=d - 1, max_size=d - 1)) for _ in "ab")
+        seed = data.draw(st.integers(0, 2**16))
+        a, b = rand_tt(shape, ranks_a, seed), rand_tt(shape, ranks_b, seed + 1)
+        if data.draw(st.booleans()):
+            # left-orthogonal, as a rounded train is: the kernel uses it as it is
+            a = tt_round(a, 0.0)
+        delta = data.draw(st.sampled_from([0.0, 1e-8, 1e-3, 1e-1])) * np.linalg.norm(a.to_dense() * b.to_dense())
+        self.check_against_face_split(a, b, delta)
+
     @pytest.mark.parametrize("rel_delta", [0.0, 1e-8, 1e-1])
     def test_generic_four_way(self, rel_delta):
         a = rand_tt((4, 5, 3, 4), (2, 3, 2), 1)
@@ -461,6 +484,7 @@ class TestTTHadamardRound:
         p = self.check(a, zero, 0.0)
         assert p.ranks == (1, 1)
         assert not np.any(p.to_dense())
+        self.check_against_face_split(a, zero, 0.0)
 
     def test_two_modes(self):
         a = rand_tt((5, 6), (3,), 9)
@@ -482,6 +506,7 @@ class TestTTHadamardRound:
         b = scaled(rand_tt((4, 5, 3, 4), (3, 2, 2), 12), (-1, 1, 1, -1))
         delta = rel_delta * np.linalg.norm(a.to_dense() * b.to_dense())
         self.check(a, b, delta)
+        self.check_against_face_split(a, b, delta)
 
     @pytest.mark.parametrize("rel_delta", [1e-8, 1e-3])
     def test_right_part_cut_fires(self, rel_delta, monkeypatch):
