@@ -17,8 +17,9 @@ The numerical kernels run in numpy's BLAS; its thread pool follows the
 backend's own variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``),
 which take effect only when set before numpy is first imported.  Tensor-train
 roundings are the exception: where numpy bundles OpenBLAS, they switch it to
-one thread and back, because their small QRs and SVDs run about 2.5x slower
-on two threads, and so train results do not depend on the thread setting.
+one thread and back, because their QRs and SVDs of up to about a thousand
+rows by 128 columns run 1.3 to 2 times slower on two threads, and so train
+results do not depend on the thread setting.
 """
 
 from .expsum import (

@@ -58,7 +58,8 @@ class RhsSpec:
     ``kind`` is one of ``inv_linear`` (samples of 1/(1 + x_1 + ... + x_d)),
     ``separable`` (samples of sin(x)cos(y)e^z, d = 3 only), ``random_rank1``
     (outer product of standard normal vectors, reproducible through ``seed``)
-    or ``custom`` (``fn`` evaluated on broadcast coordinate arrays).
+    or ``custom`` (``fn`` evaluated on broadcast coordinate arrays, its result
+    broadcast to the grid's shape).
     """
 
     kind: str
@@ -89,7 +90,8 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
     if len(grids) != spec.d:
         raise ValueError(f"expected {spec.d} grids, got {len(grids)}")
     points = [g.points for g in grids]
-    total = math.prod(g.n for g in grids)
+    shape = tuple(g.n for g in grids)
+    total = math.prod(shape)
 
     if spec.kind == "separable":
         x, y, z = points
@@ -101,7 +103,9 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
 
     if spec.kind == "custom":
         _check_memory(total, memory_cap, "custom rhs")
-        return np.asarray(spec.fn(*np.ix_(*points)), dtype=float)
+        x = np.asarray(spec.fn(*np.ix_(*points)), dtype=float)
+        # a function that ignores a coordinate returns a thinner array
+        return x if x.shape == shape else np.broadcast_to(x, shape).copy()
 
     # inv_linear
     if total <= memory_cap:

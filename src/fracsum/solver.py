@@ -61,7 +61,6 @@ from .tensors import (
     _check_memory,
     _check_nonnegative,
     _cp_to_tt,
-    _face_split,
     _gram_product,
     _tt_hadamard_round,
     multi_mode_product,
@@ -87,7 +86,7 @@ class KroneckerSum:
     Work that depends only on the operator is done once and shared by every
     solve.  The eigendecompositions are computed on first use, and positive
     definiteness is checked at that point.  The last filter train of
-    :func:`solve_tt` is kept for its sum and threshold, one entry at a time.
+    :func:`solve_tt` is kept for its sum and budget, one entry at a time.
     Finite entries and symmetry are checked eagerly at construction.  The
     factors, eigenvalues and eigenvectors are read-only copies, so neither
     cache can go stale.
@@ -107,7 +106,7 @@ class KroneckerSum:
                 raise ValueError(f"factor {i} is not symmetric")
             a.flags.writeable = False
         self._factors = factors
-        # (es, delta, train) of the last solve_tt
+        # (es, budget, train) of the last solve_tt
         self._tt_filter_memo = None
 
     @property
@@ -190,22 +189,22 @@ def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
     return CPTensor(tuple(factors))
 
 
-def _tt_filter(ks: KroneckerSum, es: ExpSum, delta: float) -> TTTensor:
-    """The filter of ``es`` as a train rounded at per-step threshold ``delta``, built once per ``(es, delta)``.
+def _tt_filter(ks: KroneckerSum, es: ExpSum, budget: float) -> TTTensor:
+    """The filter of ``es`` as a train within ``budget`` of it, built once per ``(es, budget)``.
 
     ``ks`` keeps the last train it built.  Equal sums have the same
     parameters, hence the same arrays, and so share the train.  The entry is
     one tuple, read and replaced whole, so concurrent solves can only rebuild
-    it, never see a train of another sum or threshold.  The train is the
+    it, never see a train of another sum or budget.  The train is the
     output of ``tensors._sweep_round``, whose carriages but the last are SVD
     ``U`` factors, so the product rounding finds it left-orthogonal and runs
     no QR sweep on it.
     """
     memo = ks._tt_filter_memo
-    if memo is not None and memo[0] == es and memo[1] == delta:
+    if memo is not None and memo[0] == es and memo[1] == budget:
         return memo[2]
-    filt = _cp_to_tt(_sum_filter(ks, es).factors, delta)
-    ks._tt_filter_memo = (es, delta, filt)
+    filt = _cp_to_tt(_sum_filter(ks, es).factors, budget)
+    ks._tt_filter_memo = (es, budget, filt)
     return filt
 
 
@@ -221,7 +220,7 @@ def _in_eigenbasis(ks: KroneckerSum, c, step):
 
 
 def _solve(ks: KroneckerSum, es: ExpSum, c, norm, step, allowance: float = 0.0):
-    """The protocol of every solve path: ``Q step(Q^T c, cnorm)`` and its :class:`SolveReport`.
+    """The protocol of every solve path: ``Q step(Q^T c)`` and its :class:`SolveReport`.
 
     In order: check the shape of ``c``; compute the eigendecompositions if
     they are not yet known, then start the clock; check that
@@ -234,7 +233,7 @@ def _solve(ks: KroneckerSum, es: ExpSum, c, norm, step, allowance: float = 0.0):
     ks.spectra
     start = time.perf_counter()
     cnorm = _finite_norm(norm(c))
-    x = _in_eigenbasis(ks, c, lambda y: step(y, cnorm))
+    x = _in_eigenbasis(ks, c, step)
     return x, SolveReport(
         n_terms=es.n_terms,
         error_bound=_scale(ks, es) * certified_bound(es) * cnorm + allowance * cnorm,
@@ -250,12 +249,8 @@ def _eigenvalue_sums(ks: KroneckerSum) -> np.ndarray:
 
 
 def _face_split_factors(filt: CPTensor, factors) -> list:
-    """Per mode, ``[E_i1 U_i ... E_iN U_i]``, ``E_ij`` the diagonal of column ``j`` of the filter's factor ``i``.
-
-    That is the face-split product of two trains' carriages, each factor
-    taken as a carriage with unit left rank.
-    """
-    return [_face_split(f[None], u[None])[0] for f, u in zip(filt.factors, factors)]
+    """Per mode, ``[E_i1 U_i ... E_iN U_i]``, ``E_ij`` the diagonal of column ``j`` of the filter's factor ``i``."""
+    return [(f[:, :, None] * u[:, None, :]).reshape(len(f), -1) for f, u in zip(filt.factors, factors)]
 
 
 def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -269,7 +264,7 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = D
     c = np.asarray(c, dtype=float)
     _check_memory(c.size, memory_cap, "dense solve")
 
-    def step(y, _):
+    def step(y):
         # memory_cap bounds c; the filter's Khatri-Rao operands get at least the default cap
         return _sum_filter(ks, es).to_dense(max(memory_cap, DEFAULT_MEMORY_CAP)) * y
 
@@ -284,7 +279,7 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     term ``j`` in columns ``j*rank(c)`` to ``(j+1)*rank(c) - 1`` (no
     recompression is attempted in this format).
     """
-    def step(y, _):
+    def step(y):
         return CPTensor(tuple(_face_split_factors(_sum_filter(ks, es), y.factors)))
 
     return _solve(ks, es, c, _cp_norm, step)
@@ -308,7 +303,7 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     the core: modes 1..d-1 by products batched over the terms, the last by
     one product that also sums them.
     """
-    def combine(y: TuckerTensor, _) -> TuckerTensor:
+    def combine(y: TuckerTensor) -> TuckerTensor:
         qs, r_blocks = zip(*(np.linalg.qr(b) for b in _face_split_factors(_sum_filter(ks, es), y.factors)))
         # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
         r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
@@ -340,23 +335,14 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
 
     The report's ``error_bound`` adds the allowance
     ``(n_terms - 1) * round_tol * ||c||_F`` to the certified quadrature
-    bound, and the solve spends it in two roundings at absolute per-step
-    thresholds, each worth half of it:
+    bound.  The solve spends it in two roundings, each given the Frobenius
+    budget ``half = (n_terms - 1) * round_tol / 2``:
 
-    * ``F`` is rounded once to a train ``F_delta`` within
-      ``(n_terms - 1) * round_tol / 2`` of it in the Frobenius norm; its
+    * ``F`` is rounded once to a train ``F_delta`` within ``half`` of it; its
       error ``E`` meets ``c~`` entrywise, so it moves the product by at most
-      ``max|E| * ||c|| <= ||E||_F * ||c||``;
-    * the product ``F_delta * c~`` is rounded once, within ``allowance / 2``
-      of it, without ever forming its carriages: each contraction with one
-      goes through the carriages of ``F_delta`` and ``c~``, and each right
-      part's triangular factor takes one QR per carriage.  The right parts
-      are cut by their singular values as they are formed, so the sweep runs
-      at about the result's ranks rather than at
-      ``ranks(F_delta) * ranks(c)``; the cuts spend 1/20 of this half, which
-      the inputs' left-orthogonal form makes certain (see
-      ``tensors._tt_hadamard_round``).  ``F_delta`` is left-orthogonal as it
-      is built, so only ``c~`` may need the QR sweep that makes it so.
+      ``max|E| * ||c|| <= half * ||c||``;
+    * the product ``F_delta * c~`` is rounded once, within ``half * ||c~||``
+      of it (``tensors._tt_hadamard_round`` says how), and ``||c~|| = ||c||``.
 
     Rounding commutes with the orthogonal rotations, so the two add up to the
     allowance.  The ranks of the result are certified:
@@ -373,10 +359,11 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     """
     _check_nonnegative(round_tol, "round_tol")
 
-    def step(y, cnorm):
-        # per-step threshold of the filter; times ||c||, that of the product
-        delta = 0.5 * (es.n_terms - 1) * round_tol / math.sqrt(y.ndim - 1)
-        return _tt_hadamard_round(_tt_filter(ks, es, delta), y, delta * cnorm)
+    half = (es.n_terms - 1) * round_tol / 2
+
+    def step(y):
+        # the filter's budget; relative to ||c~||, the product's
+        return _tt_hadamard_round(_tt_filter(ks, es, half), y, half)
 
     return _solve(ks, es, c, tt_norm, step, allowance=(es.n_terms - 1) * round_tol)
 

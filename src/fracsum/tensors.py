@@ -24,11 +24,12 @@ Formats:
 Every train is rounded by the two sweeps of ``_sweep_round``, which sees
 the carriages only through contractions and keeps only the triangular
 factors of the right parts: :func:`tt_round` rounds a train's own carriages
-at a threshold relative to its norm, ``_cp_to_tt`` turns a CP tensor (a
+within a budget relative to its norm, ``_cp_to_tt`` turns a CP tensor (a
 train with diagonal carriages) into a compressed train, and
-``_tt_hadamard_round`` rounds the entrywise product of two trains, both at
-an absolute threshold per step.  With a zero threshold only singular values
-below a step's noise floor are cut.  The product is the one rounding whose
+``_tt_hadamard_round`` rounds the entrywise product of two trains.  Each
+takes a Frobenius budget for the whole rounding; only ``_sweep_round``
+splits it into steps.  With a zero budget only singular values below a
+step's noise floor are cut.  The product is the one rounding whose
 right parts are wider than its result needs: it first makes both inputs
 left-orthogonal (``_left_orthogonal``, the QR sweep that :func:`tt_norm`
 also runs; a train that ``_sweep_round`` returned already is), so that every
@@ -619,11 +620,11 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
     """Recompress a train so that its relative error stays within ``tol``; ranks never increase.
 
     The two sweeps of :func:`_sweep_round` run over the train's own
-    carriages, one QR per carriage, at the per-step threshold
-    ``tol*||x||/sqrt(d-1)``.  ``||x||`` is read off the first truncation
-    step, whose singular values are those of the first unfolding, so no
-    separate norm sweep runs.  With ``tol`` zero only singular values below
-    the noise floor ``len(s)*eps*s[0]`` of a step are cut.
+    carriages, one QR per carriage, within the budget ``tol*||x||``.
+    ``||x||`` is read off the first truncation step, whose singular values
+    are those of the first unfolding, so no separate norm sweep runs.  With
+    ``tol`` zero only singular values below the noise floor
+    ``len(s)*eps*s[0]`` of a step are cut.
     """
     _check_finite(x.carriages, "x")
     _check_nonnegative(tol, "tol")
@@ -635,14 +636,14 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
     def right(k, m, rows):
         return np.tensordot(m, cores[k][:, rows], axes=([1], [2])).transpose(0, 2, 1)
 
-    return _sweep_round(left, right, x.shape, tol / math.sqrt(x.ndim - 1), relative=True)
+    return _sweep_round(left, right, x.shape, tol, relative=True)
 
 
 @_one_blas_thread()
 def _sweep_round(
-    left, right, shape, delta: float, block: int | None = None, relative: bool = False, cut: float = 0.0
+    left, right, shape, budget: float, block: int | None = None, relative: bool = False, cut: float = 0.0
 ) -> TTTensor:
-    """Round a train known only through its carriages' contractions, at ``delta`` per step.
+    """Round a train known only through its carriages' contractions within ``budget + cut``.
 
     ``left(k, m, rows)`` contracts the left rank of carriage ``k`` (an
     ``R x n_k x R'`` array, restricted to the mode indices ``rows``) with the
@@ -661,30 +662,30 @@ def _sweep_round(
     carry ``Z_k`` (``[[1]]`` for ``k = 0``) contracted with carriage ``k``.
     The right part is ``T_{k+1}^T`` times orthonormal rows, so the singular
     values of ``M_k T_{k+1}^T`` are exactly those of the unfolding against
-    the basis kept so far; truncating them at ``delta`` gives carriage ``k``
-    as ``U`` and the next carry ``U^T M_k``.  The errors of the steps are
-    mutually orthogonal, so the result is within ``sqrt(d-1)*delta`` of the
-    train in the Frobenius norm.  With ``relative`` the threshold is
-    ``delta*||x||`` instead: the first step's singular values are those of
-    the first unfolding, so their norm is ``||x||`` exactly.
+    the basis kept so far; truncating them at ``delta = budget/sqrt(d-1)``
+    gives carriage ``k`` as ``U`` and the next carry ``U^T M_k``.  The
+    errors of the ``d-1`` steps are mutually orthogonal, so the result is
+    within ``budget`` of the train in the Frobenius norm.  With ``relative``
+    the budget is ``budget*||x||`` instead: the first step's singular values
+    are those of the first unfolding, so their norm is ``||x||`` exactly.
 
     A positive ``cut`` also narrows each ``T_k`` as it is formed: with
     ``T_k = U S V^T`` it becomes ``S_p V_p^T`` for the smallest ``p`` whose
-    discarded singular values have norm at most ``cut``.  This projects the
-    right part onto ``p`` orthonormal directions, so ``T_k^T`` times
-    orthonormal rows is still a right part, that of the cut train, and the
-    right sweep goes on from ``T_k`` at width ``p``.  A cut moves the train
-    by at most ``cut`` times the spectral norm of the left part it meets
-    (carriages ``0..k-1``, mode indices as rows).  When every left part has
-    spectral norm at most 1, the ``d-1`` cuts move it by at most
-    ``(d-1)*cut``.  Each left-to-right step is then within ``delta`` of the
+    discarded singular values have norm at most ``cut/(d-1)``.  This
+    projects the right part onto ``p`` orthonormal directions, so ``T_k^T``
+    times orthonormal rows is still a right part, that of the cut train, and
+    the right sweep goes on from ``T_k`` at width ``p``.  A cut moves the
+    train by at most ``cut/(d-1)`` times the spectral norm of the left part
+    it meets (carriages ``0..k-1``, mode indices as rows), so when every
+    left part has spectral norm at most 1 the ``d-1`` cuts move it by at
+    most ``cut``.  Each left-to-right step is then within ``delta`` of the
     cut train; the parts the steps discard of the train itself are still
     mutually orthogonal and differ from those by orthogonal shares of the
-    cuts' changes, so the result is within ``sqrt(d-1)*delta + (d-1)*cut``.
-    The caller supplies the contractive left parts.  With ``cut`` zero no
-    SVD runs, so :func:`tt_round` and ``_cp_to_tt`` run as without it.
+    cuts' changes, so the result is within ``budget + cut``.  The caller
+    supplies the contractive left parts.  With ``cut`` zero no SVD runs, so
+    :func:`tt_round` and ``_cp_to_tt`` run as without it.
 
-    With a zero threshold a step cuts only singular values below its noise
+    With a zero budget a step cuts only singular values below its noise
     floor ``len(s)*eps*s[0]`` (see :func:`_truncation_rank`); that cut, like
     any other floating-point rounding, is not counted in the bound above.
 
@@ -693,6 +694,7 @@ def _sweep_round(
     thread count.
     """
     d = len(shape)
+    delta, cut = budget / math.sqrt(d - 1), cut / (d - 1)
 
     def blocks(k):
         step = block or shape[k]
@@ -728,38 +730,33 @@ def _sweep_round(
     return _from_cores(cores)
 
 
-def _cp_to_tt(factors, delta: float) -> TTTensor:
-    """The CP tensor ``sum_j outer_i factors[i][:, j]`` as a train rounded at ``delta`` per step.
+def _cp_to_tt(factors, budget: float) -> TTTensor:
+    """The CP tensor ``sum_j outer_i factors[i][:, j]`` as a train within ``budget`` of it in the Frobenius norm.
 
     As a train it has diagonal ``N x n_i x N`` carriages, closed by ones on
     both sides; they are never formed, because contracting one with a matrix
     only scales the matrix's columns by a row of the mode's factor.  The
-    result is within ``sqrt(d-1)*delta`` of the CP tensor in the Frobenius
-    norm (see :func:`_sweep_round`).
+    budget is spent as :func:`_sweep_round` says.
     """
 
     def scale(k, m, rows):
         return m[:, None, :] * factors[k][None, rows]
 
     shape = [len(f) for f in factors]
-    return _sweep_round(scale, scale, shape, delta, block=2)
-
-
-def _face_split(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The carriage of an entrywise product: ``(r, n, s)`` and ``(r', n, s')`` give ``(r r', n, s s')``."""
-    (ra, n, sa), (rb, _, sb) = g.shape, h.shape
-    return (g[:, None, :, :, None] * h[None, :, :, None, :]).reshape(ra * rb, n, sa * sb)
+    return _sweep_round(scale, scale, shape, budget, block=2)
 
 
 def _kron_contract(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.tensordot(z, _face_split(a, b), axes=1)`` without forming the face-split carriage.
+    """``z`` contracted with the face-split carriage of ``a`` and ``b`` without forming it.
 
-    ``a`` is ``ra x n x sa``, ``b`` is ``rb x n x sb`` and ``z`` has ``ra*rb``
-    columns, ``a``'s rank the slower; the result is ``(len(z), n, sa*sb)``.
-    One GEMM contracts ``b``'s rank and one matrix product per mode index
-    contracts ``a``'s, ``O(len(z)*n*ra*sb*(rb + sa))`` operations instead of
-    the ``O(len(z)*n*ra*rb*sa*sb)`` of the formed carriage.  Passed both
-    carriages with their rank axes swapped, it contracts the right ranks.
+    ``a`` is ``ra x n x sa`` and ``b`` is ``rb x n x sb``; the carriage of
+    their entrywise product is ``ra*rb x n x sa*sb``, ``a``'s ranks the
+    slower.  ``z`` has ``ra*rb`` columns; the result is
+    ``(len(z), n, sa*sb)``.  One GEMM contracts ``b``'s rank and one matrix
+    product per mode index contracts ``a``'s, ``O(len(z)*n*ra*sb*(rb + sa))``
+    operations instead of the ``O(len(z)*n*ra*rb*sa*sb)`` of the formed
+    carriage.  Passed both carriages with their rank axes swapped, it
+    contracts the right ranks.
     """
     (ra, n, sa), (rb, _, sb) = a.shape, b.shape
     q = len(z)
@@ -781,8 +778,8 @@ def _is_left_orthogonal(cores) -> bool:
     return True
 
 
-def _tt_hadamard_round(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
-    """The entrywise product ``a * b`` rounded within ``sqrt(d-1)*delta`` in the Frobenius norm.
+def _tt_hadamard_round(a: TTTensor, b: TTTensor, tol: float) -> TTTensor:
+    """The entrywise product ``a * b`` rounded within ``tol*||b||`` in the Frobenius norm.
 
     The product's carriages are the face-split products of the inputs'
     carriages, with ranks ``ranks(a) * ranks(b)``.  They are never formed:
@@ -794,13 +791,13 @@ def _tt_hadamard_round(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
     An input whose cores ``0..d-2`` are not yet left-orthogonal (see
     :func:`_is_left_orthogonal`) is first made so by :func:`_left_orthogonal`;
     a train that :func:`_sweep_round` returned is left-orthogonal already,
-    its carriages being SVD ``U`` factors, and is used as it is.  A left
-    part of the product is then a subset of the rows of the Kronecker
-    product of the inputs' left parts, two matrices with orthonormal
-    columns, so its spectral norm is at most 1, and the right-part cuts of
-    :func:`_sweep_round` apply: at ``cut = delta/(20*sqrt(d-1))`` they spend
-    ``sqrt(d-1)*delta/20`` of the budget and the left-to-right steps, at
-    ``0.95*delta``, the rest.  With ``delta`` zero no cut is made.
+    its carriages being SVD ``U`` factors, and is used as it is.  The norm
+    of ``b``'s last core is then ``||b||``.  A left part of the product is a
+    subset of the rows of the Kronecker product of the inputs' left parts,
+    two matrices with orthonormal columns, so its spectral norm is at most
+    1, and the right-part cuts of :func:`_sweep_round` apply: they spend
+    ``_CUT_SHARE`` of the budget ``tol*||b||`` and the left-to-right steps
+    the rest.  With ``tol`` zero no cut is made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -812,5 +809,5 @@ def _tt_hadamard_round(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
     def right(k, m, rows):
         return _kron_contract(m, ga[k][:, rows].transpose(2, 1, 0), gb[k][:, rows].transpose(2, 1, 0))
 
-    cut = _CUT_SHARE * delta / math.sqrt(a.ndim - 1)
-    return _sweep_round(left, right, a.shape, (1.0 - _CUT_SHARE) * delta, cut=cut)
+    budget = tol * float(np.linalg.norm(gb[-1]))
+    return _sweep_round(left, right, a.shape, (1.0 - _CUT_SHARE) * budget, cut=_CUT_SHARE * budget)

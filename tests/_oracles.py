@@ -5,8 +5,9 @@ package code paths, so the tests compare two separate routes.  There are two
 exceptions: :func:`exp_kron_apply` drives the solver's rotation kernel with
 another filter, so that the kernel is checked against a brute-force matrix
 exponential, and :func:`tt_hadamard_round_face_split` drives the rounding
-sweeps with the product's carriages formed, so that the structured
-contraction of ``tensors._tt_hadamard_round`` is checked against them.
+sweeps with the product's carriages formed by :func:`face_split`, so that
+the structured contraction of ``tensors._tt_hadamard_round`` is checked
+against them.
 """
 
 import cmath
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from fracsum.solver import _eigenvalue_sums, _in_eigenbasis
-from fracsum.tensors import _CUT_SHARE, TTTensor, _as_cores, _face_split, _left_orthogonal, _sweep_round
+from fracsum.tensors import _CUT_SHARE, TTTensor, _as_cores, _left_orthogonal, _sweep_round
 
 
 def ref_power(xi: float, alpha: float) -> float:
@@ -96,23 +97,30 @@ def tt_add(x: TTTensor, y: TTTensor) -> TTTensor:
     return TTTensor(tuple(cars))
 
 
-def tt_hadamard_round_face_split(a: TTTensor, b: TTTensor, delta: float) -> TTTensor:
-    """``tensors._tt_hadamard_round`` with the product's carriages formed by ``_face_split``, four mode indices at a time.
+def face_split(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The carriage of an entrywise product: ``(r, n, s)`` and ``(r', n, s')`` give ``(r r', n, s s')``."""
+    (ra, n, sa), (rb, _, sb) = g.shape, h.shape
+    return (g[:, None, :, :, None] * h[None, :, :, None, :]).reshape(ra * rb, n, sa * sb)
+
+
+def tt_hadamard_round_face_split(a: TTTensor, b: TTTensor, tol: float) -> TTTensor:
+    """``tensors._tt_hadamard_round`` with the product's carriages formed by :func:`face_split`, four mode indices at a time.
 
     Both inputs are made left-orthogonal by ``_left_orthogonal`` and each
     right part's triangular factor grows by one QR per block, with the same
-    split of ``delta`` between the right-part cuts and the left-to-right steps.
+    budget ``tol*||b||`` and the same split of it between the right-part
+    cuts and the left-to-right steps.
     """
     ga, gb = _left_orthogonal(_as_cores(a)), _left_orthogonal(_as_cores(b))
 
     def left(k, m, rows):
-        return np.tensordot(m, _face_split(ga[k][:, rows], gb[k][:, rows]), axes=1)
+        return np.tensordot(m, face_split(ga[k][:, rows], gb[k][:, rows]), axes=1)
 
     def right(k, m, rows):
-        return np.tensordot(m, _face_split(ga[k][:, rows], gb[k][:, rows]), axes=([1], [2])).transpose(0, 2, 1)
+        return np.tensordot(m, face_split(ga[k][:, rows], gb[k][:, rows]), axes=([1], [2])).transpose(0, 2, 1)
 
-    cut = _CUT_SHARE * delta / math.sqrt(a.ndim - 1)
-    return _sweep_round(left, right, a.shape, (1.0 - _CUT_SHARE) * delta, block=4, cut=cut)
+    budget = tol * np.linalg.norm(gb[-1])
+    return _sweep_round(left, right, a.shape, (1.0 - _CUT_SHARE) * budget, block=4, cut=_CUT_SHARE * budget)
 
 
 def exp_kron_apply(ks, c, t: float) -> np.ndarray:

@@ -116,6 +116,19 @@ class TestSampleRhs:
         expected = np.multiply.outer(grids[0].points, grids[1].points ** 2)
         np.testing.assert_allclose(rhs, expected, atol=1e-15)
 
+    def test_custom_result_takes_the_grid_shape(self):
+        grids = [Grid1D(4)] * 3
+        pts = grids[0].points
+        rhs = sample_rhs(RhsSpec(kind="custom", d=3, fn=lambda x, y, z: 1 + x + y), grids)
+        assert rhs.shape == (4, 4, 4) and rhs.flags.writeable
+        np.testing.assert_array_equal(rhs, np.broadcast_to((1 + pts[:, None, None]) + pts[None, :, None], (4, 4, 4)))
+        rhs = sample_rhs(RhsSpec(kind="custom", d=3, fn=lambda x, y, z: 2.5), grids)
+        np.testing.assert_array_equal(rhs, np.full((4, 4, 4), 2.5))
+
+    def test_custom_full_shape_result_is_not_copied(self):
+        full = np.ones((4, 5))
+        assert sample_rhs(RhsSpec(kind="custom", d=2, fn=lambda x, y: full), [Grid1D(4), Grid1D(5)]) is full
+
     def test_custom_respects_cap(self):
         grids = [Grid1D(10)] * 3
         spec = RhsSpec(kind="custom", d=3, fn=lambda x, y, z: x + y + z)

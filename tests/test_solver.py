@@ -28,7 +28,7 @@ from fracsum.solver import (
     solve_tt,
     solve_tucker,
 )
-from fracsum.tensors import CPTensor, TTTensor, TuckerTensor, _as_cores, hosvd, tt_svd
+from fracsum.tensors import CPTensor, TTTensor, TuckerTensor, _as_cores, hosvd, tt_norm, tt_svd
 
 from _oracles import exp_kron_apply, expm_taylor, kron_sum_matrix, random_spd, vec
 
@@ -383,14 +383,34 @@ class TestTTFilterMemo:
         assert len(calls) == 1
         assert _same_tt_solve(again, first)
 
+    def test_each_rounding_gets_half_the_allowance(self, setup, monkeypatch):
+        factors, c, calls = setup
+        tols = []
+        hadamard_round = solver._tt_hadamard_round
+
+        def spy(a, b, tol):
+            tols.append(tol)
+            return hadamard_round(a, b, tol)
+
+        monkeypatch.setattr(solver, "_tt_hadamard_round", spy)
+        es = build_expsum(params_for_terms(0.5, 40))
+        _, exact = solve_tt(KroneckerSum(factors), c, es, round_tol=0.0)
+        calls.clear()
+        tols.clear()
+        _, report = solve_tt(KroneckerSum(factors), c, es, round_tol=1e-10)
+        half = (es.n_terms - 1) * 1e-10 / 2
+        # the filter's budget, and the product's relative to ||c||
+        assert [args[1] for args in calls] == tols == [half]
+        assert report.error_bound - exact.error_bound == pytest.approx(2 * half * tt_norm(c), rel=1e-9)
+
     def test_the_product_receives_a_left_orthogonal_filter(self, setup, monkeypatch):
         factors, c, _ = setup
         received = []
         hadamard_round = solver._tt_hadamard_round
 
-        def spy(a, b, delta):
+        def spy(a, b, tol):
             received.append(a)
-            return hadamard_round(a, b, delta)
+            return hadamard_round(a, b, tol)
 
         monkeypatch.setattr(solver, "_tt_hadamard_round", spy)
         ks = KroneckerSum(factors)

@@ -348,6 +348,16 @@ class TestTTRound:
         r = tt_round(t, 0.0)
         assert all(a <= b for a, b in zip(r.ranks, t.ranks))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_within_its_budget(self, data):
+        x = draw_tt(data)
+        tol = data.draw(BUDGETS)
+        exact = x.to_dense()
+        r = tt_round(x, tol)
+        assert np.linalg.norm(r.to_dense() - exact) <= (tol + 1e-13) * np.linalg.norm(exact)
+        assert all(a <= b for a, b in zip(r.ranks, x.ranks))
+
 
 def rand_tt(shape, ranks, seed=0):
     """A train with standard normal carriages of the given ranks."""
@@ -355,6 +365,24 @@ def rand_tt(shape, ranks, seed=0):
     rs = (1, *ranks, 1)
     cores = [rng.standard_normal((rs[i], n, rs[i + 1])) for i, n in enumerate(shape)]
     return TTTensor((cores[0][0], *cores[1:-1], cores[-1][..., 0]))
+
+
+# relative Frobenius budgets of the rounding property tests
+BUDGETS = st.sampled_from([0.0, 1e-8, 1e-3, 1e-1])
+
+
+def draw_tt(data, shape=None):
+    """A drawn train with ranks 1..4 and standard normal carriages; unless ``shape`` is given, 2 to 5 modes of extent 1..6."""
+    if shape is None:
+        d = data.draw(st.integers(2, 5))
+        shape = data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+    ranks = data.draw(st.lists(st.integers(1, 4), min_size=len(shape) - 1, max_size=len(shape) - 1))
+    return rand_tt(shape, ranks, data.draw(st.integers(0, 2**16)))
+
+
+def product_tol(rel, a, b):
+    """The ``tol`` of ``_tt_hadamard_round`` whose budget ``tol*||b||`` is ``rel*||a * b||``."""
+    return rel * np.linalg.norm(a.to_dense() * b.to_dense()) / np.linalg.norm(b.to_dense())
 
 
 def orthonormality_defect(m):
@@ -412,8 +440,8 @@ class TestCPToTT:
         [((5, 7), 3), ((6, 4, 5), 9), ((3, 4, 5, 6), 40), ((4, 3, 5, 3, 4), 12)],
         ids=["d2", "d3", "d4", "d5"],
     )
-    @pytest.mark.parametrize("rel_delta", [0.0, 1e-8, 1e-3])
-    def test_within_the_rounding_bound_of_the_cp_tensor(self, shape, n_terms, rel_delta):
+    @pytest.mark.parametrize("rel_budget", [0.0, 1e-8, 1e-3])
+    def test_within_the_rounding_bound_of_the_cp_tensor(self, shape, n_terms, rel_budget):
         # decaying exponentials, as in the filter of an exponential sum
         rng = np.random.default_rng(len(shape))
         exponents = np.geomspace(1e-2, 1e1, n_terms)
@@ -421,26 +449,38 @@ class TestCPToTT:
         weights = rng.uniform(0.1, 1.0, n_terms)
         factors[0] = factors[0] * weights
         dense = CPTensor(tuple(factors)).to_dense()
-        delta = rel_delta * np.linalg.norm(dense)
-        f = _cp_to_tt(factors, delta)
-        err = np.linalg.norm(f.to_dense() - dense)
-        assert err <= np.sqrt(len(shape) - 1) * delta + 1e-13 * np.linalg.norm(dense)
+        budget = rel_budget * np.linalg.norm(dense)
+        f = _cp_to_tt(factors, budget)
+        assert np.linalg.norm(f.to_dense() - dense) <= budget + 1e-13 * np.linalg.norm(dense)
         assert max(f.ranks) <= n_terms
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_within_its_budget(self, data):
+        d = data.draw(st.integers(2, 5))
+        shape = data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+        n_terms = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        factors = [rng.standard_normal((n, n_terms)) for n in shape]
+        dense = CPTensor(tuple(factors)).to_dense()
+        budget = data.draw(BUDGETS) * np.linalg.norm(dense)
+        f = _cp_to_tt(factors, budget)
+        assert np.linalg.norm(f.to_dense() - dense) <= budget + 1e-13 * np.linalg.norm(dense)
 
 
 class TestTTHadamardRound:
-    def check(self, a, b, delta):
-        """Round ``a * b`` and check its accuracy and its rank bound."""
-        p = _tt_hadamard_round(a, b, delta)
+    def check(self, a, b, tol):
+        """Round ``a * b`` within ``tol*||b||`` and check its accuracy and its rank bound."""
+        p = _tt_hadamard_round(a, b, tol)
         exact = a.to_dense() * b.to_dense()
         err = np.linalg.norm(p.to_dense() - exact)
-        assert err <= np.sqrt(a.ndim - 1) * delta + 1e-13 * np.linalg.norm(exact)
+        assert err <= tol * np.linalg.norm(b.to_dense()) + 1e-13 * np.linalg.norm(exact)
         assert all(r <= ra * rb for r, ra, rb in zip(p.ranks, a.ranks, b.ranks))
         return p
 
-    def check_against_face_split(self, a, b, delta):
+    def check_against_face_split(self, a, b, tol):
         """The kernel matches the rounding of the formed face-split carriages: equal ranks, within 1e-13 relative."""
-        p, q = _tt_hadamard_round(a, b, delta), tt_hadamard_round_face_split(a, b, delta)
+        p, q = _tt_hadamard_round(a, b, tol), tt_hadamard_round_face_split(a, b, tol)
         assert p.ranks == q.ranks
         ref = q.to_dense()
         assert np.linalg.norm(p.to_dense() - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -456,15 +496,22 @@ class TestTTHadamardRound:
         if data.draw(st.booleans()):
             # left-orthogonal, as a rounded train is: the kernel uses it as it is
             a = tt_round(a, 0.0)
-        delta = data.draw(st.sampled_from([0.0, 1e-8, 1e-3, 1e-1])) * np.linalg.norm(a.to_dense() * b.to_dense())
-        self.check_against_face_split(a, b, delta)
+        self.check_against_face_split(a, b, product_tol(data.draw(BUDGETS), a, b))
 
-    @pytest.mark.parametrize("rel_delta", [0.0, 1e-8, 1e-1])
-    def test_generic_four_way(self, rel_delta):
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_within_its_budget(self, data):
+        a = draw_tt(data)
+        b = draw_tt(data, a.shape)
+        # either input may be left-orthogonal already, so that its norm is read off its own last core
+        a, b = (tt_round(x, 0.0) if data.draw(st.booleans()) else x for x in (a, b))
+        self.check(a, b, data.draw(BUDGETS))
+
+    @pytest.mark.parametrize("rel_budget", [0.0, 1e-8, 1e-1])
+    def test_generic_four_way(self, rel_budget):
         a = rand_tt((4, 5, 3, 4), (2, 3, 2), 1)
         b = rand_tt((4, 5, 3, 4), (3, 2, 2), 2)
-        delta = rel_delta * np.linalg.norm(a.to_dense() * b.to_dense())
-        self.check(a, b, delta)
+        self.check(a, b, product_tol(rel_budget, a, b))
 
     def test_full_ranks_at_the_boundary(self):
         # the rank products (9, 81, 9) exceed what every unfolding can hold
@@ -495,8 +542,8 @@ class TestTTHadamardRound:
         with pytest.raises(ValueError):
             _tt_hadamard_round(rand_tt((4, 5), (2,), 1), rand_tt((5, 4), (2,), 2), 0.0)
 
-    @pytest.mark.parametrize("rel_delta", [1e-8, 1e-3, 1e-1])
-    def test_badly_scaled_inputs(self, rel_delta):
+    @pytest.mark.parametrize("rel_budget", [1e-8, 1e-3, 1e-1])
+    def test_badly_scaled_inputs(self, rel_budget):
         # carriages scaled by 1e+-3, so neither input is left-orthogonal and
         # their left parts are far from contractive before the kernel's QR sweep
         def scaled(x, signs):
@@ -504,12 +551,12 @@ class TestTTHadamardRound:
 
         a = scaled(rand_tt((4, 5, 3, 4), (2, 3, 2), 11), (1, -1, 1, -1))
         b = scaled(rand_tt((4, 5, 3, 4), (3, 2, 2), 12), (-1, 1, 1, -1))
-        delta = rel_delta * np.linalg.norm(a.to_dense() * b.to_dense())
-        self.check(a, b, delta)
-        self.check_against_face_split(a, b, delta)
+        tol = product_tol(rel_budget, a, b)
+        self.check(a, b, tol)
+        self.check_against_face_split(a, b, tol)
 
-    @pytest.mark.parametrize("rel_delta", [1e-8, 1e-3])
-    def test_right_part_cut_fires(self, rel_delta, monkeypatch):
+    @pytest.mark.parametrize("rel_budget", [1e-8, 1e-3])
+    def test_right_part_cut_fires(self, rel_budget, monkeypatch):
         # a compressed filter of decaying exponentials, as the train solve
         # builds it, times a train that is not left-orthogonal
         lam, t = np.linspace(1.0, 4.0, 6), np.geomspace(0.05, 20.0, 10)
@@ -517,8 +564,9 @@ class TestTTHadamardRound:
         factors[0] = factors[0] * np.sqrt(t)
         a = _cp_to_tt(factors, 0.0)
         b = rand_tt((6,) * 6, (2, 3, 3, 3, 2), 11)
-        delta = rel_delta * np.linalg.norm(a.to_dense() * b.to_dense())
-        cut = tensors._CUT_SHARE * delta / np.sqrt(5)
+        tol = product_tol(rel_budget, a, b)
+        # the kernel's budget, read off b's left-orthogonal form, split over the 5 right parts
+        cut = tensors._CUT_SHARE * (tol * float(np.linalg.norm(tensors._left_orthogonal(_as_cores(b))[-1]))) / 5
         kept = []
 
         def spy(s, threshold):
@@ -529,7 +577,7 @@ class TestTTHadamardRound:
 
         truncation_rank = tensors._truncation_rank
         monkeypatch.setattr(tensors, "_truncation_rank", spy)
-        self.check(a, b, delta)
+        self.check(a, b, tol)
         # one cut per right part T_k, k = 5 .. 1, whose width is at most the
         # product's left rank ra*rb at carriage k; some cut must narrow it
         widths = [ra * rb for ra, rb in zip(a.ranks, b.ranks)][::-1]
