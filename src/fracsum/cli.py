@@ -31,6 +31,7 @@ import numpy as np
 from .expsum import (
     ExpSum,
     _check_alpha,
+    _widest_strip,
     best_expsum,
     build_expsum,
     evaluate,
@@ -193,9 +194,9 @@ def _suffixed(path: str, alpha: float) -> str:
 def cmd_strip_bound(args) -> None:
     alpha = args.alpha
     _check_alpha(alpha)
-    d = math.pi * alpha / 8.0 if args.d is None else args.d
-    if not 0.0 < d < math.pi * alpha / 4.0:
-        raise ValueError(f"strip half-width must satisfy 0 < d < pi*alpha/4 = {math.pi * alpha / 4.0:g}")
+    d = _widest_strip(alpha) if args.d is None else args.d
+    if not 0.0 < d < 2.0 * _widest_strip(alpha):
+        raise ValueError(f"strip half-width must satisfy 0 < d < pi*alpha/4 = {2.0 * _widest_strip(alpha):g}")
     if not 0.0 < args.xi < math.inf:
         raise ValueError(f"--xi must be positive and finite, got {args.xi}")
     if not math.isfinite(args.tau_max):
@@ -272,7 +273,7 @@ def cmd_poisson(args) -> None:
 
 def _reference_curve(alpha: float, rows, col: int) -> list:
     """``scale * exp(-sqrt(2*pi*d*N))`` at ``N = row[0]``, ``d = pi*alpha/8``, touching column ``col`` from above."""
-    d_strip = math.pi * alpha / 8.0
+    d_strip = _widest_strip(alpha)
     scale = max(r[col] * math.exp(math.sqrt(2.0 * math.pi * d_strip * r[0])) for r in rows)
     return [scale * math.exp(-math.sqrt(2.0 * math.pi * d_strip * r[0])) for r in rows]
 

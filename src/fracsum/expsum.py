@@ -59,6 +59,16 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _widest_strip(alpha: float) -> float:
+    """The widest strip half-width ``pi*alpha/8``, which :class:`ExpSumParams` admits and the closed-form bound certifies."""
+    return math.pi * alpha / 8.0
+
+
+def _beta(alpha: float, d: float) -> float:
+    """The real-axis decay constant ``cos(2*d/alpha)`` of the strip half-width ``d``."""
+    return math.cos(2.0 * d / alpha)
+
+
 def _check_eps(eps: float) -> None:
     """Raise a one-line ``ValueError`` unless ``tiny <= eps < 1``, where ``log(1/eps)`` is finite and positive (NaN fails too)."""
     if not np.finfo(float).tiny <= eps < 1.0:
@@ -93,7 +103,7 @@ class ExpSumParams:
     def __post_init__(self):
         _check_alpha(self.alpha)
         _check_eps(self.eps)
-        d_max = math.pi * self.alpha / 8.0
+        d_max = _widest_strip(self.alpha)
         if not 0.0 < self.d <= d_max * (1.0 + 1e-12):
             raise ValueError(f"d must satisfy 0 < d <= pi*alpha/8 = {d_max}, got {self.d}")
         if self.n_minus < 0 or self.n_plus < 0:
@@ -112,12 +122,12 @@ class ExpSumParams:
     @property
     def h(self) -> float:
         """Trapezoidal step ``2*pi*d/log(1/eps)``."""
-        return _step(self.d, self.eps)
+        return _step(self.d, math.log(1.0 / self.eps))
 
     @property
     def beta(self) -> float:
         """Real-axis decay constant ``cos(2*d/alpha)``, at least ``cos(pi/4)`` since ``d <= pi*alpha/8``."""
-        return math.cos(2.0 * self.d / self.alpha)
+        return _beta(self.alpha, self.d)
 
     @property
     def n_terms(self) -> int:
@@ -182,7 +192,8 @@ def integrand_g(tau, xi: float, alpha: float) -> complex:
     ------
     ValueError
         If ``|Im(tau)| >= pi``, where the integrand hits the pole line of the
-        denominator and the branch cuts of the logarithm.
+        denominator and the branch cuts of the logarithm, or where
+        ``log(1 + exp(tau))**(1/alpha)`` overflows (``Re(tau)`` ~ 1.3e3 at 0.01).
     """
     _check_alpha(alpha)
     tau = complex(tau)
@@ -194,7 +205,12 @@ def integrand_g(tau, xi: float, alpha: float) -> complex:
         log1p_exp = tau + cmath.log(1.0 + cmath.exp(-tau))
     else:
         log1p_exp = cmath.log(1.0 + cmath.exp(tau))
-    t = log1p_exp ** (1.0 / alpha) if log1p_exp != 0 else 0.0
+    try:  # a complex power overflows by raising or, through repeated products, as NaN
+        t = log1p_exp ** (1.0 / alpha) if log1p_exp != 0 else 0.0
+    except OverflowError:
+        t = math.inf
+    if not cmath.isfinite(t):
+        raise ValueError(f"log(1 + exp(tau))**(1/alpha) is not finite at tau = {tau}, alpha = {alpha:g}")
     num = cmath.exp(-xi * t)
     if tau.real >= 0.0:
         return num / (1.0 + cmath.exp(-tau))
@@ -224,7 +240,7 @@ def select_params(alpha: float, eps: float) -> ExpSumParams:
     """
     _check_alpha(alpha)
     _check_eps(eps)
-    d = math.pi * alpha / 8.0
+    d = _widest_strip(alpha)
     if eps > EPS_CAP:
         warnings.warn(
             f"eps = {eps:g} exceeds exp(-pi^2/4) ~ {EPS_CAP:.4f}; "
@@ -235,21 +251,25 @@ def select_params(alpha: float, eps: float) -> ExpSumParams:
     return ExpSumParams(alpha=alpha, eps=eps, d=d, n_minus=n_minus, n_plus=n_plus)
 
 
-def _step(d: float, eps: float) -> float:
-    """The trapezoidal step ``2*pi*d/log(1/eps)`` of a strip half-width and an accuracy target."""
-    return 2.0 * math.pi * d / math.log(1.0 / eps)
+def _step(d: float, log_inv_eps: float) -> float:
+    """The trapezoidal step ``2*pi*d/log(1/eps)`` of a strip half-width ``d`` and an accuracy target ``eps``."""
+    return 2.0 * math.pi * d / log_inv_eps
 
 
 def _certified_counts(alpha: float, d: float, log_inv_eps: float):
-    """Minimal truncation counts for one target, at the step ``2*pi*d/log_inv_eps``."""
-    n_minus_min, n_plus_min = _truncation_minima(alpha, d, 2.0 * math.pi * d / log_inv_eps)
-    return math.ceil(n_minus_min), math.ceil(n_plus_min)
+    """Minimal truncation counts for one target, at its step (see :func:`_step`)."""
+    return tuple(math.ceil(m) for m in _truncation_minima(alpha, d, _step(d, log_inv_eps)))
 
 
 def _truncation_minima(alpha: float, d: float, h: float):
-    """The certified minimal truncation counts ``2*pi*d/h^2`` and ``(2*pi*d*h^(-(alpha+1)/alpha)/beta)^alpha``."""
-    beta = math.cos(2.0 * d / alpha)
-    return 2.0 * math.pi * d / h**2, (2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / beta) ** alpha
+    """The certified minimal truncation counts ``2*pi*d/h^2`` and ``(2*pi*d*h^(-(alpha+1)/alpha)/beta)^alpha``; a one-line ``ValueError`` where the second overflows, as it does for small ``alpha``."""
+    try:
+        n_plus_min = (2.0 * math.pi * d * h ** (-(alpha + 1.0) / alpha) / _beta(alpha, d)) ** alpha
+    except OverflowError:
+        n_plus_min = math.inf
+    if n_plus_min == math.inf:
+        raise ValueError(f"alpha = {alpha:g} is too small: the n_plus minimum overflows at step h = {h:g}")
+    return 2.0 * math.pi * d / h**2, n_plus_min
 
 
 def params_for_terms(alpha: float, n_terms: int) -> ExpSumParams:
@@ -265,7 +285,7 @@ def params_for_terms(alpha: float, n_terms: int) -> ExpSumParams:
     _check_alpha(alpha)
     if n_terms < 3:
         raise ValueError(f"n_terms must be at least 3, got {n_terms}")
-    d = math.pi * alpha / 8.0
+    d = _widest_strip(alpha)
 
     def total(log_inv_eps: float) -> int:
         return sum(_certified_counts(alpha, d, log_inv_eps)) + 1
@@ -363,7 +383,7 @@ def total_error_bound(params: ExpSumParams) -> float:
     maximal strip width, so it certifies only that choice of ``d``).
     """
     alpha, eps = params.alpha, params.eps
-    d_is_max = math.isclose(params.d, math.pi * alpha / 8.0, rel_tol=1e-12)
+    d_is_max = math.isclose(params.d, _widest_strip(alpha), rel_tol=1e-12)
     if eps <= EPS_CAP and d_is_max:
         log_inv_eps = math.log(1.0 / eps)
         bracket = (
@@ -465,7 +485,7 @@ def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParam
         except ValueError:
             return None
 
-    widest = 2.0 * math.pi * (math.pi * alpha / 8.0) / h
+    widest = 2.0 * math.pi * _widest_strip(alpha) / h
     if at(widest) is None:
         widest = _largest(lambda log_inv_eps: at(log_inv_eps) is not None, 0.0, widest, 100)
     return at(widest)

@@ -25,15 +25,13 @@ path supplies only its entrywise product with ``F``: dense tensors multiply
 ``F`` densified; CP and Tucker factors are scaled term by term along their mode
 index by the factors of ``F`` (Tucker re-orthogonalizes the stack by QR);
 tensor trains are multiplied by ``F`` written as a compressed train, which
-the operator keeps for the next solve with the same sum.  So the
-construction maps verbatim onto those formats and yields the rank growth
-certificates checked in the test suite.
+the operator keeps for the next solve with the same sum.
 
 Around those steps every solve path runs one protocol, written once in
-``_solve``, and adds only its own input checks, its format's norm and its
-entrywise step.  The clock starts after the eigendecompositions, which run
-once per operator, so ``wall_time`` excludes them and includes everything in
-the steps, such as building the train path's filter.  ``error_bound`` is
+``_solve``, and adds only its own input checks and its entrywise step.  The
+clock starts after the eigendecompositions, which run once per operator, so
+``wall_time`` excludes them and includes everything in the steps, such as
+building the train path's filter.  ``error_bound`` is
 ``lambda_min**(-alpha) * certified_bound(es) * ||c||_F`` plus a path's
 allowance times ``||c||_F`` (only the train path has one, for recompression).
 It takes the eigendecompositions as exact: their backward error,
@@ -61,10 +59,9 @@ from .tensors import (
     _check_memory,
     _check_nonnegative,
     _cp_to_tt,
-    _gram_product,
+    _normed,
     _tt_hadamard_round,
     multi_mode_product,
-    tt_norm,
     tt_round,  # unused here; the benchmark's tracer test reads fracsum.solver.tt_round
 )
 
@@ -170,11 +167,10 @@ def _scale(ks: KroneckerSum, es: ExpSum) -> float:
     return ks.lambda_min ** (-es.params.alpha)
 
 
-def _finite_norm(cnorm: float) -> float:
-    """``cnorm``, the norm of a right-hand side, checked to be finite (NaN fails too)."""
+def _finite_norm(cnorm: float) -> None:
+    """Raise a one-line ``ValueError`` unless ``cnorm``, the norm of a right-hand side, is finite (NaN fails too)."""
     if not math.isfinite(cnorm):
         raise ValueError(f"right-hand side norm is {cnorm}; entries must be finite")
-    return cnorm
 
 
 def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
@@ -195,10 +191,9 @@ def _tt_filter(ks: KroneckerSum, es: ExpSum, budget: float) -> TTTensor:
     ``ks`` keeps the last train it built.  Equal sums have the same
     parameters, hence the same arrays, and so share the train.  The entry is
     one tuple, read and replaced whole, so concurrent solves can only rebuild
-    it, never see a train of another sum or budget.  The train is the
-    output of ``tensors._sweep_round``, whose carriages but the last are SVD
-    ``U`` factors, so the product rounding finds it left-orthogonal and runs
-    no QR sweep on it.
+    it, never see a train of another sum or budget.  As output of
+    ``tensors._sweep_round`` the train is left-orthogonal, as the product
+    rounding requires, and no QR sweep ever runs on it.
     """
     memo = ks._tt_filter_memo
     if memo is not None and memo[0] == es and memo[1] == budget:
@@ -219,12 +214,13 @@ def _in_eigenbasis(ks: KroneckerSum, c, step):
     return multi_mode_product(step(multi_mode_product(c, [q.T for q in qs])), qs)
 
 
-def _solve(ks: KroneckerSum, es: ExpSum, c, norm, step, allowance: float = 0.0):
+def _solve(ks: KroneckerSum, es: ExpSum, c, step, allowance: float = 0.0):
     """The protocol of every solve path: ``Q step(Q^T c)`` and its :class:`SolveReport`.
 
     In order: check the shape of ``c``; compute the eigendecompositions if
-    they are not yet known, then start the clock; check that
-    ``cnorm = norm(c)`` is finite; rotate, ``step``, rotate back through
+    they are not yet known, then start the clock; replace ``c`` by the form
+    ``tensors._normed`` returns (a train left-orthogonal) and check that its
+    norm ``cnorm`` is finite; rotate, ``step``, rotate back through
     :func:`_in_eigenbasis`; report, stopping the clock after ``error_bound``
     is evaluated.  ``ranks`` is read off the result: ``(rank,)`` of a CP
     tensor, the ranks of a Tucker tensor or a train, ``()`` of a dense one.
@@ -232,7 +228,8 @@ def _solve(ks: KroneckerSum, es: ExpSum, c, norm, step, allowance: float = 0.0):
     ks._check_shape(c.shape)
     ks.spectra
     start = time.perf_counter()
-    cnorm = _finite_norm(norm(c))
+    c, cnorm = _normed(c)
+    _finite_norm(cnorm)
     x = _in_eigenbasis(ks, c, step)
     return x, SolveReport(
         n_terms=es.n_terms,
@@ -268,7 +265,7 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = D
         # memory_cap bounds c; the filter's Khatri-Rao operands get at least the default cap
         return _sum_filter(ks, es).to_dense(max(memory_cap, DEFAULT_MEMORY_CAP)) * y
 
-    return _solve(ks, es, c, lambda c: float(np.linalg.norm(c)), step)
+    return _solve(ks, es, c, step)
 
 
 def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
@@ -282,11 +279,7 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     def step(y):
         return CPTensor(tuple(_face_split_factors(_sum_filter(ks, es), y.factors)))
 
-    return _solve(ks, es, c, _cp_norm, step)
-
-
-def _cp_norm(c: CPTensor) -> float:
-    return float(np.sqrt(max(np.sum(_gram_product([f.T @ f for f in c.factors])), 0.0)))
+    return _solve(ks, es, c, step)
 
 
 def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
@@ -321,8 +314,7 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
             core += x.reshape(len(last), -1).T @ last
         return TuckerTensor(core=core.reshape(ranks), factors=qs)
 
-    # the factors are orthonormal, so the core carries the norm
-    return _solve(ks, es, c, lambda c: float(np.linalg.norm(c.core)), combine)
+    return _solve(ks, es, c, combine)
 
 
 def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12):
@@ -332,6 +324,8 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     filter ``F`` with the rotated right-hand side ``c~``.  ``F`` is the rank-N
     CP tensor of the sum, a train with diagonal carriages; the carriages of
     ``c`` are rotated once, multiplied by it, and the product is rotated back.
+    ``c~`` is left-orthogonal, by the one QR sweep of ``c`` that also gives
+    ``||c||``, and so is ``F`` as rounded; the product requires both.
 
     The report's ``error_bound`` adds the allowance
     ``(n_terms - 1) * round_tol * ||c||_F`` to the certified quadrature
@@ -353,9 +347,7 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     rounding, is outside ``error_bound``.
 
     ``F_delta`` depends only on the operator, the sum and ``round_tol``, never
-    on ``c``.  The first solve with a given sum and threshold builds it; later
-    solves on the same operator reuse it.  The operator keeps one such train,
-    for the last sum and threshold.
+    on ``c``; the operator keeps the last one it built (see ``_tt_filter``).
     """
     _check_nonnegative(round_tol, "round_tol")
 
@@ -365,7 +357,7 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
         # the filter's budget; relative to ||c~||, the product's
         return _tt_hadamard_round(_tt_filter(ks, es, half), y, half)
 
-    return _solve(ks, es, c, tt_norm, step, allowance=(es.n_terms - 1) * round_tol)
+    return _solve(ks, es, c, step, allowance=(es.n_terms - 1) * round_tol)
 
 
 def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
@@ -381,6 +373,6 @@ def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int 
     ks._check_shape(c.shape)
     _check_nonnegative(alpha, "alpha")
     _check_memory(c.size, memory_cap, "dense oracle")
-    _finite_norm(float(np.linalg.norm(c)))
+    _finite_norm(_normed(c)[1])
     return _in_eigenbasis(ks, c, lambda y: _eigenvalue_sums(ks) ** (-alpha) * y)
 

@@ -3,14 +3,14 @@
 Dense tensors are plain ``numpy.ndarray`` objects.  A tensor is linearized
 column-major throughout, the first index varying fastest.
 :func:`multi_mode_product` is the one kernel for a matrix along every mode,
-in every format: dense tensors by one matrix product per mode, CP and Tucker
-tensors by multiplying their factors, trains by one pass over their carriages.
-A product along one mode passes identities for the others; under this
-convention ``multi_mode_product(X, [A, I])`` is ``A @ X`` for a d = 2 tensor,
-and the product along mode i alone acts on the linearized tensor as the
-Kronecker-structured matrix whose non-identity factor sits in position i
-counted from the right.  The solver's rotations and Kronecker-sum product,
-Tucker densification and the HOSVD core use it.
+in every format.  A product along one mode passes identities for the
+others; under this convention ``multi_mode_product(X, [A, I])`` is ``A @ X``
+for a d = 2 tensor, and the product along mode i alone acts on the
+linearized tensor as the Kronecker-structured matrix whose non-identity
+factor sits in position i counted from the right.  ``_normed`` is the one
+reader of a Frobenius norm, in every format; it hands a train back
+left-orthogonal by the QR sweep of ``_left_orthogonal``, the only sweep a
+train gets in a solve.
 
 Formats:
 
@@ -21,26 +21,13 @@ Formats:
   only code that maps the boundary matrices to order-3 cores with unit
   boundary ranks and back; the kernels here read and write trains as cores.
 
-Every train is rounded by the two sweeps of ``_sweep_round``, which sees
-the carriages only through contractions and keeps only the triangular
-factors of the right parts: :func:`tt_round` rounds a train's own carriages
-within a budget relative to its norm, ``_cp_to_tt`` turns a CP tensor (a
-train with diagonal carriages) into a compressed train, and
-``_tt_hadamard_round`` rounds the entrywise product of two trains.  Each
-takes a Frobenius budget for the whole rounding; only ``_sweep_round``
-splits it into steps.  With a zero budget only singular values below a
-step's noise floor are cut.  The product is the one rounding whose
-right parts are wider than its result needs: it first makes both inputs
-left-orthogonal (``_left_orthogonal``, the QR sweep that :func:`tt_norm`
-also runs; a train that ``_sweep_round`` returned already is), so that every
-left part of the product is contractive, and then cuts each right-part
-factor by its singular values as the right-to-left sweep forms it, spending
-1/20 of the product's error budget on those cuts.  Its carriages, the
-face-split products of the inputs' carriages, are never formed: each
-contraction with one is a GEMM with one input's carriage and a product
-batched over the mode index with the other's (``_kron_contract``).
-``tt_round`` and ``_cp_to_tt`` make no such cut.  :func:`tt_svd` factorizes
-a dense tensor.
+Every train is rounded by the two sweeps of ``_sweep_round`` within a
+Frobenius budget for the whole rounding, which only it splits into steps:
+:func:`tt_round` rounds a train's own carriages, ``_cp_to_tt`` compresses a
+CP tensor, and ``_tt_hadamard_round`` the entrywise product of two
+left-orthogonal trains, whose carriages it never forms.  With a zero budget
+only singular values below a step's noise floor are cut.  :func:`tt_svd`
+factorizes a dense tensor.
 
 ``_sweep_round`` runs on one OpenBLAS thread (``_one_blas_thread``) and then
 restores the process's count.  Its QRs and SVDs are at most about a
@@ -222,6 +209,23 @@ def multi_mode_product(x, mats):
     for a in mats:
         x = (x.reshape(x.shape[0], -1).T @ a.T).reshape(x.shape[1:] + (a.shape[0],))
     return x
+
+
+def _normed(x):
+    """``(x', ||x||_F)``: the same tensor in the form its norm is read from, and that norm.
+
+    Dense, CP (Gram identity) and Tucker (core) tensors come back as they
+    are; a train comes back left-orthogonal by :func:`_left_orthogonal`, its
+    last carriage carrying the norm.
+    """
+    if isinstance(x, CPTensor):
+        return x, float(np.sqrt(max(np.sum(_gram_product([f.T @ f for f in x.factors])), 0.0)))
+    if isinstance(x, TuckerTensor):
+        return x, float(np.linalg.norm(x.core))
+    if isinstance(x, TTTensor):
+        cores = _left_orthogonal(_as_cores(x))
+        return _from_cores(cores), float(np.linalg.norm(cores[-1]))
+    return x, float(np.linalg.norm(x))
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +593,8 @@ def tt_mode_product(x: TTTensor, mode: int, a: np.ndarray) -> TTTensor:
 
 
 def tt_norm(x: TTTensor) -> float:
-    """Frobenius norm via the left-to-right QR sweep of :func:`_left_orthogonal` (stable for any ranks).
-
-    The norm of the last core it returns is taken as the R factor of that
-    core as one column, as the sweep would take it.
-    """
-    last = _left_orthogonal(_as_cores(x))[-1]
-    return float(np.linalg.norm(np.linalg.qr(last.reshape(-1, 1), mode="r")))
+    """Frobenius norm via the left-to-right QR sweep of :func:`_left_orthogonal` (stable for any ranks), as :func:`_normed` reads it."""
+    return _normed(x)[1]
 
 
 def _left_orthogonal(cores) -> list:
@@ -689,9 +688,8 @@ def _sweep_round(
     floor ``len(s)*eps*s[0]`` (see :func:`_truncation_rank`); that cut, like
     any other floating-point rounding, is not counted in the bound above.
 
-    The whole rounding, callbacks included, runs on one OpenBLAS thread (see
-    :func:`_one_blas_thread`), so its result does not depend on the process's
-    thread count.
+    The whole rounding, callbacks included, runs on one OpenBLAS thread, so
+    its result does not depend on the process's thread count.
     """
     d = len(shape)
     delta, cut = budget / math.sqrt(d - 1), cut / (d - 1)
@@ -766,20 +764,8 @@ def _kron_contract(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y.reshape(n, sb, q, sa).transpose(2, 0, 3, 1).reshape(q, n, sa * sb)
 
 
-def _is_left_orthogonal(cores) -> bool:
-    """Whether cores ``0..d-2``, unfolded with their left rank and mode index as rows, have orthonormal columns.
-
-    Orthonormal means ``max|C^T C - I| <= _ORTHO_TOL``; a NaN fails.
-    """
-    for c in cores[:-1]:
-        m = c.reshape(-1, c.shape[2])
-        if not np.max(np.abs(m.T @ m - np.eye(m.shape[1]))) <= _ORTHO_TOL:
-            return False
-    return True
-
-
 def _tt_hadamard_round(a: TTTensor, b: TTTensor, tol: float) -> TTTensor:
-    """The entrywise product ``a * b`` rounded within ``tol*||b||`` in the Frobenius norm.
+    """The entrywise product ``a * b`` of two left-orthogonal trains, rounded within ``tol*||b||`` in the Frobenius norm.
 
     The product's carriages are the face-split products of the inputs'
     carriages, with ranks ``ranks(a) * ranks(b)``.  They are never formed:
@@ -788,20 +774,20 @@ def _tt_hadamard_round(a: TTTensor, b: TTTensor, tol: float) -> TTTensor:
     time, so each right part's triangular factor takes one QR per carriage.
     Each rank of the result is at most the product of the inputs' ranks.
 
-    An input whose cores ``0..d-2`` are not yet left-orthogonal (see
-    :func:`_is_left_orthogonal`) is first made so by :func:`_left_orthogonal`;
-    a train that :func:`_sweep_round` returned is left-orthogonal already,
-    its carriages being SVD ``U`` factors, and is used as it is.  The norm
-    of ``b``'s last core is then ``||b||``.  A left part of the product is a
-    subset of the rows of the Kronecker product of the inputs' left parts,
-    two matrices with orthonormal columns, so its spectral norm is at most
-    1, and the right-part cuts of :func:`_sweep_round` apply: they spend
-    ``_CUT_SHARE`` of the budget ``tol*||b||`` and the left-to-right steps
-    the rest.  With ``tol`` zero no cut is made.
+    Both inputs must be left-orthogonal, cores ``0..d-2`` unfolded with
+    their left rank and mode index as rows having orthonormal columns, as
+    the trains :func:`_sweep_round` and :func:`_normed` return are, also
+    after an orthogonal rotation of their mode indices; neither is checked
+    or swept here.  Then ``||b||`` is the norm of ``b``'s last core, and a
+    left part of the product, rows of the Kronecker product of the inputs'
+    left parts, has spectral norm at most 1, so the right-part cuts of
+    :func:`_sweep_round` apply: they spend ``_CUT_SHARE`` of the budget
+    ``tol*||b||`` and the left-to-right steps the rest.  With ``tol`` zero
+    no cut is made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ga, gb = (c if _is_left_orthogonal(c) else _left_orthogonal(c) for c in (_as_cores(a), _as_cores(b)))
+    ga, gb = _as_cores(a), _as_cores(b)
 
     def left(k, m, rows):
         return _kron_contract(m, ga[k][:, rows], gb[k][:, rows])

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from fracsum.solver import _eigenvalue_sums, _in_eigenbasis
-from fracsum.tensors import _CUT_SHARE, TTTensor, _as_cores, _left_orthogonal, _sweep_round
+from fracsum.tensors import _CUT_SHARE, TTTensor, _as_cores, _sweep_round
 
 
 def ref_power(xi: float, alpha: float) -> float:
@@ -106,12 +106,12 @@ def face_split(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 def tt_hadamard_round_face_split(a: TTTensor, b: TTTensor, tol: float) -> TTTensor:
     """``tensors._tt_hadamard_round`` with the product's carriages formed by :func:`face_split`, four mode indices at a time.
 
-    Both inputs are made left-orthogonal by ``_left_orthogonal`` and each
-    right part's triangular factor grows by one QR per block, with the same
-    budget ``tol*||b||`` and the same split of it between the right-part
-    cuts and the left-to-right steps.
+    Both inputs must be left-orthogonal, as for the kernel, and each right
+    part's triangular factor grows by one QR per block, with the same budget
+    ``tol*||b||`` and the same split of it between the right-part cuts and
+    the left-to-right steps.
     """
-    ga, gb = _left_orthogonal(_as_cores(a)), _left_orthogonal(_as_cores(b))
+    ga, gb = _as_cores(a), _as_cores(b)
 
     def left(k, m, rows):
         return np.tensordot(m, face_split(ga[k][:, rows], gb[k][:, rows]), axes=1)

@@ -78,6 +78,15 @@ class TestStripBound:
         assert err.startswith(f"fracsum: {flag} must be") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha, tau_max", [(0.01, 1e5), (0.01, 1e80), (0.25, 1e80)])
+    def test_overflowing_tau_max_rejected(self, tmp_path, alpha, tau_max, capsys):
+        # the integrand's power overflows (raising, or through products as NaN) long after |g| underflows
+        out = tmp_path / "x.dat"
+        assert run(["strip-bound", "--alpha", alpha, "--tau-max", tau_max, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fracsum: log(1 + exp(tau))**(1/alpha) is not finite at tau") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_negative_tau_max_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.dat"
         assert run(["strip-bound", "--alpha", 0.3, "--tau-max", -5, "--out", out]) == 2
@@ -257,6 +266,26 @@ class TestTTHighD:
 def test_bad_alpha_exit_code(tmp_path, command, alpha, capsys):
     assert run([command, "--alpha", alpha, "--out", tmp_path / "x.dat"]) == 2
     assert capsys.readouterr().err == f"fracsum: alpha must be in (0, 1), got {float(alpha)}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expsum-convergence", "--alpha", 0.006],
+        ["poisson", "--alpha", 0.001, "--n", 4],
+        ["rank-decay", "--alpha", 0.005, "--n", 4],
+        ["tt-highd", "--alpha", 0.005, "--n", 4, "--d", 3],
+        ["tt-highd", "--alpha", 0.005, "--n", 4, "--d", 3, "--eps", 1e-6],
+    ],
+    ids=["expsum-convergence", "poisson", "rank-decay", "tt-highd-N", "tt-highd-eps"],
+)
+def test_too_small_alpha_exit_code(tmp_path, args, capsys):
+    # h**(-(alpha+1)/alpha) in the certified n_plus minimum overflows at these steps
+    out = tmp_path / "x.dat"
+    assert run(args + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fracsum: alpha = ") and "n_plus minimum overflows" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

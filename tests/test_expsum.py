@@ -64,6 +64,12 @@ class TestIntegrand:
         assert abs(integrand_g(900.0, 1.0, 0.5)) == 0.0
         assert abs(integrand_g(-900.0, 1.0, 0.5)) == 0.0
 
+    @pytest.mark.parametrize("tau, alpha", [(1e5, 0.01), (1e80, 0.01), (1e80, 0.25)])
+    def test_overflowing_power_rejected(self, tau, alpha):
+        # the power raises OverflowError or, at an integral 1/alpha, turns into NaN
+        with pytest.raises(ValueError, match=r"^log\(1 \+ exp\(tau\)\)\*\*\(1/alpha\) is not finite"):
+            integrand_g(complex(tau, 0.001), 1.0, alpha)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             integrand_g(complex(0.0, math.pi), 1.0, 0.5)
@@ -81,6 +87,14 @@ class TestIntegrand:
             a = abs(integrand_g(tau, xi, alpha))
             b = abs(integrand_g(tau.conjugate(), xi, alpha))
             assert a == pytest.approx(b, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("alpha", [0.006, 0.001, 1e-8])
+def test_too_small_alpha_rejected(alpha):
+    # h**(-(alpha+1)/alpha) in the certified n_plus minimum overflows
+    for build in (lambda: select_params(alpha, 1e-6), lambda: params_for_terms(alpha, 200)):
+        with pytest.raises(ValueError, match=r"^alpha = .* is too small: the n_plus minimum overflows"):
+            build()
 
 
 class TestSelectParams:

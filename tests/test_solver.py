@@ -404,12 +404,14 @@ class TestTTFilterMemo:
         assert report.error_bound - exact.error_bound == pytest.approx(2 * half * tt_norm(c), rel=1e-9)
 
     def test_the_product_receives_a_left_orthogonal_filter(self, setup, monkeypatch):
+        # and a left-orthogonal rotated right-hand side, although c is not left-orthogonal
         factors, c, _ = setup
+        c = not_left_orthogonal(c)
         received = []
         hadamard_round = solver._tt_hadamard_round
 
         def spy(a, b, tol):
-            received.append(a)
+            received.append((a, b))
             return hadamard_round(a, b, tol)
 
         monkeypatch.setattr(solver, "_tt_hadamard_round", spy)
@@ -417,11 +419,13 @@ class TestTTFilterMemo:
         es = build_expsum(params_for_terms(0.5, 40))
         for round_tol in (0.0, 1e-10, 1e-10):
             solve_tt(ks, c, es, round_tol=round_tol)
-        assert received[0] is not received[1] is received[2] is ks._tt_filter_memo[2]
-        for filt in received:
-            for core in _as_cores(filt)[:-1]:
-                m = core.reshape(-1, core.shape[2])
-                assert np.linalg.norm(m.T @ m - np.eye(m.shape[1])) <= 1e-13
+        filters = [a for a, _ in received]
+        assert filters[0] is not filters[1] is filters[2] is ks._tt_filter_memo[2]
+        for pair in received:
+            for train in pair:
+                for core in _as_cores(train)[:-1]:
+                    m = core.reshape(-1, core.shape[2])
+                    assert np.linalg.norm(m.T @ m - np.eye(m.shape[1])) <= 1e-13
 
     def test_repeated_solve_runs_no_qr_sweep_on_the_filter(self, setup, monkeypatch):
         factors, c, _ = setup
@@ -438,10 +442,29 @@ class TestTTFilterMemo:
         solve_tt(ks, c, es, round_tol=1e-10)
         swept.clear()
         solve_tt(ks, c, es, round_tol=1e-10)
-        # only the sweep of the norm of c: c comes from tt_svd, so it and the
-        # rotated c that the product receives are left-orthogonal already
+        # only the sweep that gives the norm of c
         assert ks._tt_filter_memo[2].ranks != c.ranks
         assert swept == [c.ranks]
+
+    def test_a_right_hand_side_is_swept_once(self, setup, monkeypatch):
+        factors, c, _ = setup
+        c = not_left_orthogonal(c)
+        swept = []
+        left_orthogonal = tensors._left_orthogonal
+
+        def counted(cores):
+            swept.append(tuple(core.shape[2] for core in cores[:-1]))
+            return left_orthogonal(cores)
+
+        monkeypatch.setattr(tensors, "_left_orthogonal", counted)
+        solve_tt(KroneckerSum(factors), c, build_expsum(params_for_terms(0.5, 40)), round_tol=1e-10)
+        # the sweep that gives ||c|| also makes c left-orthogonal for the product
+        assert swept == [c.ranks]
+
+
+def not_left_orthogonal(c: TTTensor) -> TTTensor:
+    """``c`` with carriage 0 scaled by 1.37, so that its left parts are no longer orthonormal."""
+    return TTTensor((1.37 * c.carriages[0], *c.carriages[1:]))
 
 
 class TestFormatConsistency:

@@ -275,6 +275,36 @@ class TestTTSvd:
             TTTensor((rand((3, 2), 1), rand((3, 4, 2), 2), rand((2, 3), 3)))
 
 
+class TestNormed:
+    """``_normed`` reads the Frobenius norm in every format; only a train comes back changed, left-orthogonal."""
+
+    def formats(self):
+        x = rand((4, 5, 6), 20)
+        cp = CPTensor(tuple(rand((n, 3), 21 + i) for i, n in enumerate((4, 5, 6))))
+        tucker = hosvd(x, ranks=(2, 3, 2))
+        # carriage 0 scaled, so that the train is not left-orthogonal
+        t = rand_tt((4, 5, 6, 3), (2, 3, 2), 24)
+        train = TTTensor((1.37 * t.carriages[0], *t.carriages[1:]))
+        return [x, cp, tucker, train]
+
+    def test_matches_the_dense_norm(self):
+        for x in self.formats():
+            dense = x if isinstance(x, np.ndarray) else x.to_dense()
+            _, norm = tensors._normed(x)
+            assert abs(norm - np.linalg.norm(dense)) <= 1e-13 * np.linalg.norm(dense)
+
+    def test_only_a_train_changes(self):
+        x, cp, tucker, train = self.formats()
+        for y in (x, cp, tucker):
+            assert tensors._normed(y)[0] is y
+        swept, norm = tensors._normed(train)
+        assert tt_norm(train) == norm
+        assert norm == np.linalg.norm(swept.carriages[-1])
+        np.testing.assert_allclose(swept.to_dense(), train.to_dense(), rtol=0, atol=1e-13 * norm)
+        for core in _as_cores(swept)[:-1]:
+            assert orthonormality_defect(core.reshape(-1, core.shape[2])) <= 1e-14
+
+
 class TestTTArithmetic:
     def test_mode_product_identity(self):
         t = tt_svd(rand((3, 4, 5), 1), tol=0.0)
@@ -378,6 +408,11 @@ def draw_tt(data, shape=None):
         shape = data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
     ranks = data.draw(st.lists(st.integers(1, 4), min_size=len(shape) - 1, max_size=len(shape) - 1))
     return rand_tt(shape, ranks, data.draw(st.integers(0, 2**16)))
+
+
+def left_orthogonal(x):
+    """``x`` made left-orthogonal by the QR sweep of ``_normed``, as a solve hands its right-hand side on."""
+    return tensors._normed(x)[0]
 
 
 def product_tol(rel, a, b):
@@ -493,9 +528,9 @@ class TestTTHadamardRound:
         ranks_a, ranks_b = (data.draw(st.lists(st.integers(1, 4), min_size=d - 1, max_size=d - 1)) for _ in "ab")
         seed = data.draw(st.integers(0, 2**16))
         a, b = rand_tt(shape, ranks_a, seed), rand_tt(shape, ranks_b, seed + 1)
-        if data.draw(st.booleans()):
-            # left-orthogonal, as a rounded train is: the kernel uses it as it is
-            a = tt_round(a, 0.0)
+        # left-orthogonal either as a rounded train is (the solve's filter) or as a swept one (its right-hand side)
+        a = tt_round(a, 0.0) if data.draw(st.booleans()) else left_orthogonal(a)
+        b = left_orthogonal(b)
         self.check_against_face_split(a, b, product_tol(data.draw(BUDGETS), a, b))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -503,39 +538,40 @@ class TestTTHadamardRound:
     def test_within_its_budget(self, data):
         a = draw_tt(data)
         b = draw_tt(data, a.shape)
-        # either input may be left-orthogonal already, so that its norm is read off its own last core
-        a, b = (tt_round(x, 0.0) if data.draw(st.booleans()) else x for x in (a, b))
+        # each input left-orthogonal either as a rounded train or as a swept one; its norm is its last core's
+        a, b = (tt_round(x, 0.0) if data.draw(st.booleans()) else left_orthogonal(x) for x in (a, b))
         self.check(a, b, data.draw(BUDGETS))
 
     @pytest.mark.parametrize("rel_budget", [0.0, 1e-8, 1e-1])
     def test_generic_four_way(self, rel_budget):
-        a = rand_tt((4, 5, 3, 4), (2, 3, 2), 1)
-        b = rand_tt((4, 5, 3, 4), (3, 2, 2), 2)
+        a = left_orthogonal(rand_tt((4, 5, 3, 4), (2, 3, 2), 1))
+        b = left_orthogonal(rand_tt((4, 5, 3, 4), (3, 2, 2), 2))
         self.check(a, b, product_tol(rel_budget, a, b))
 
     def test_full_ranks_at_the_boundary(self):
-        # the rank products (9, 81, 9) exceed what every unfolding can hold
+        # the rank products (9, 81, 9) exceed what every unfolding can hold;
+        # tt_svd's carriages but the last are SVD U factors, so left-orthogonal
         a = tt_svd(rand((3, 3, 3, 3), 3), tol=0.0)
         b = tt_svd(rand((3, 3, 3, 3), 4), tol=0.0)
         assert a.ranks == b.ranks == (3, 9, 3)
         assert self.check(a, b, 0.0).ranks == (3, 9, 3)
 
     def test_rank_one_factor_keeps_ranks(self):
-        a = rand_tt((4, 5, 3, 4), (2, 3, 2), 5)
-        ones = TTTensor((np.ones((4, 1)), np.ones((1, 5, 1)), np.ones((1, 3, 1)), np.ones((1, 4))))
+        a = left_orthogonal(rand_tt((4, 5, 3, 4), (2, 3, 2), 5))
+        ones = left_orthogonal(TTTensor((np.ones((4, 1)), np.ones((1, 5, 1)), np.ones((1, 3, 1)), np.ones((1, 4)))))
         assert self.check(a, ones, 0.0).ranks == a.ranks
 
     def test_zero_train(self):
-        a = rand_tt((4, 5, 3), (2, 3), 7)
-        zero = TTTensor((np.zeros((4, 2)), *rand_tt((4, 5, 3), (2, 2), 8).carriages[1:]))
+        a = left_orthogonal(rand_tt((4, 5, 3), (2, 3), 7))
+        zero = left_orthogonal(TTTensor((np.zeros((4, 2)), *rand_tt((4, 5, 3), (2, 2), 8).carriages[1:])))
         p = self.check(a, zero, 0.0)
         assert p.ranks == (1, 1)
         assert not np.any(p.to_dense())
         self.check_against_face_split(a, zero, 0.0)
 
     def test_two_modes(self):
-        a = rand_tt((5, 6), (3,), 9)
-        b = rand_tt((5, 6), (2,), 10)
+        a = left_orthogonal(rand_tt((5, 6), (3,), 9))
+        b = left_orthogonal(rand_tt((5, 6), (2,), 10))
         assert self.check(a, b, 0.0).ranks == (5,)
 
     def test_shape_mismatch(self):
@@ -544,13 +580,13 @@ class TestTTHadamardRound:
 
     @pytest.mark.parametrize("rel_budget", [1e-8, 1e-3, 1e-1])
     def test_badly_scaled_inputs(self, rel_budget):
-        # carriages scaled by 1e+-3, so neither input is left-orthogonal and
-        # their left parts are far from contractive before the kernel's QR sweep
+        # carriages scaled by 1e+-3, so that the left parts are far from
+        # contractive before the QR sweep that makes the inputs left-orthogonal
         def scaled(x, signs):
             return TTTensor(tuple(10.0 ** (3 * sign) * c for sign, c in zip(signs, x.carriages)))
 
-        a = scaled(rand_tt((4, 5, 3, 4), (2, 3, 2), 11), (1, -1, 1, -1))
-        b = scaled(rand_tt((4, 5, 3, 4), (3, 2, 2), 12), (-1, 1, 1, -1))
+        a = left_orthogonal(scaled(rand_tt((4, 5, 3, 4), (2, 3, 2), 11), (1, -1, 1, -1)))
+        b = left_orthogonal(scaled(rand_tt((4, 5, 3, 4), (3, 2, 2), 12), (-1, 1, 1, -1)))
         tol = product_tol(rel_budget, a, b)
         self.check(a, b, tol)
         self.check_against_face_split(a, b, tol)
@@ -558,15 +594,15 @@ class TestTTHadamardRound:
     @pytest.mark.parametrize("rel_budget", [1e-8, 1e-3])
     def test_right_part_cut_fires(self, rel_budget, monkeypatch):
         # a compressed filter of decaying exponentials, as the train solve
-        # builds it, times a train that is not left-orthogonal
+        # builds it, times a random train swept left-orthogonal
         lam, t = np.linspace(1.0, 4.0, 6), np.geomspace(0.05, 20.0, 10)
         factors = [np.exp(-np.outer(lam, t)) for _ in range(6)]
         factors[0] = factors[0] * np.sqrt(t)
         a = _cp_to_tt(factors, 0.0)
-        b = rand_tt((6,) * 6, (2, 3, 3, 3, 2), 11)
+        b = left_orthogonal(rand_tt((6,) * 6, (2, 3, 3, 3, 2), 11))
         tol = product_tol(rel_budget, a, b)
-        # the kernel's budget, read off b's left-orthogonal form, split over the 5 right parts
-        cut = tensors._CUT_SHARE * (tol * float(np.linalg.norm(tensors._left_orthogonal(_as_cores(b))[-1]))) / 5
+        # the kernel's budget, ||b|| read off b's last carriage, split over the 5 right parts
+        cut = tensors._CUT_SHARE * (tol * float(np.linalg.norm(b.carriages[-1]))) / 5
         kept = []
 
         def spy(s, threshold):
