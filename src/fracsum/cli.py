@@ -210,8 +210,9 @@ def cmd_strip_bound(args) -> None:
         g = abs(integrand_g(complex(tau, d), args.xi, alpha))
         bound = 1.0
         if tau > 0:
-            decay = math.cos(d / (alpha * max(tau, 0.5))) * tau ** (1.0 / alpha)
-            bound = math.exp(max(-args.xi * decay, -745.0))
+            with np.errstate(over="ignore"):  # an exponent past the float range is the exp(-745) floor
+                decay = math.cos(d / (alpha * max(tau, 0.5))) * tau ** (1.0 / alpha)
+                bound = math.exp(max(-args.xi * decay, -745.0))
         rows.append((tau, g, bound))
     _write_rows(args.out, rows)
     print(args.out)

@@ -113,8 +113,8 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
     return _inv_linear_tt(grids)
 
 
-def _inv_linear_tt(grids, tol: float = 1e-10) -> TTTensor:
-    """Exact train for a function of the coordinate sum, then recompression.
+def _inv_linear_tt(grids) -> TTTensor:
+    """Exact train for a function of the coordinate sum, then recompression at 1e-10.
 
     On a common uniform grid the sum ``x_1 + ... + x_d`` only takes the
     lattice values ``h*(d + k)`` with ``k = 0 .. d*(n-1)``, so the tensor of
@@ -142,4 +142,4 @@ def _inv_linear_tt(grids, tol: float = 1e-10) -> TTTensor:
     m_last = (d - 1) * (n - 1) + 1
     s = np.add.outer(np.arange(m_last), np.arange(n))  # running index sum
     cars.append(1.0 / (1.0 + h * (s + d)))
-    return tt_round(TTTensor(tuple(cars)), tol)
+    return tt_round(TTTensor(tuple(cars)), 1e-10)

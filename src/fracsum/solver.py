@@ -25,7 +25,7 @@ path supplies only its entrywise product with ``F``: dense tensors multiply
 ``F`` densified; CP and Tucker factors are scaled term by term along their mode
 index by the factors of ``F`` (Tucker re-orthogonalizes the stack by QR);
 tensor trains are multiplied by ``F`` written as a compressed train, which
-the operator keeps for the next solve with the same sum.
+``_tt_filter`` keeps for the next solve with the same operator, sum and budget.
 
 Around those steps every solve path runs one protocol, written once in
 ``_solve``, and adds only its own input checks and its entrywise step.  The
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -80,13 +80,11 @@ __all__ = [
 class KroneckerSum:
     """Ordered symmetric positive definite factors of a Kronecker sum.
 
-    Work that depends only on the operator is done once and shared by every
-    solve.  The eigendecompositions are computed on first use, and positive
-    definiteness is checked at that point.  The last filter train of
-    :func:`solve_tt` is kept for its sum and budget, one entry at a time.
-    Finite entries and symmetry are checked eagerly at construction.  The
-    factors, eigenvalues and eigenvectors are read-only copies, so neither
-    cache can go stale.
+    The eigendecompositions depend only on the operator: they are computed
+    on first use, shared by every solve, and positive definiteness is checked
+    at that point.  Finite entries and symmetry are checked eagerly at
+    construction.  The factors, eigenvalues and eigenvectors are read-only
+    copies, so an operator never changes after it is built.
     """
 
     def __init__(self, factors):
@@ -103,8 +101,6 @@ class KroneckerSum:
                 raise ValueError(f"factor {i} is not symmetric")
             a.flags.writeable = False
         self._factors = factors
-        # (es, budget, train) of the last solve_tt
-        self._tt_filter_memo = None
 
     @property
     def factors(self) -> tuple:
@@ -185,22 +181,17 @@ def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
     return CPTensor(tuple(factors))
 
 
+@lru_cache(maxsize=1)
 def _tt_filter(ks: KroneckerSum, es: ExpSum, budget: float) -> TTTensor:
-    """The filter of ``es`` as a train within ``budget`` of it, built once per ``(es, budget)``.
+    """The filter of ``es`` as a train within ``budget`` of it, kept for the next call with the same arguments.
 
-    ``ks`` keeps the last train it built.  Equal sums have the same
-    parameters, hence the same arrays, and so share the train.  The entry is
-    one tuple, read and replaced whole, so concurrent solves can only rebuild
-    it, never see a train of another sum or budget.  As output of
-    ``tensors._sweep_round`` the train is left-orthogonal, as the product
-    rounding requires, and no QR sweep ever runs on it.
+    The one entry is keyed on the operator (by identity), the sum (by value,
+    so equal sums share the train) and the budget; it keeps the operator
+    alive next to its train.  As output of ``tensors._sweep_round`` the train
+    is left-orthogonal, as the product rounding requires, and no QR sweep
+    ever runs on it.
     """
-    memo = ks._tt_filter_memo
-    if memo is not None and memo[0] == es and memo[1] == budget:
-        return memo[2]
-    filt = _cp_to_tt(_sum_filter(ks, es).factors, budget)
-    ks._tt_filter_memo = (es, budget, filt)
-    return filt
+    return _cp_to_tt(_sum_filter(ks, es).factors, budget)
 
 
 def _in_eigenbasis(ks: KroneckerSum, c, step):
@@ -347,7 +338,7 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     rounding, is outside ``error_bound``.
 
     ``F_delta`` depends only on the operator, the sum and ``round_tol``, never
-    on ``c``; the operator keeps the last one it built (see ``_tt_filter``).
+    on ``c``; ``_tt_filter`` keeps the last one built in the process.
     """
     _check_nonnegative(round_tol, "round_tol")
 

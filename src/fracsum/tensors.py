@@ -287,25 +287,22 @@ def _khatri_rao(mats) -> np.ndarray:
     return out
 
 
-def cp_als(
-    x: np.ndarray,
-    rank: int,
-    max_iters: int = 100,
-    tol: float = 1e-12,
-    restarts: int = 5,
-    rng=None,
-    init: CPTensor | None = None,
-) -> CPTensor:
+# cp_als: sweeps per run, stopping tolerance relative to ||x||, and runs
+_ALS_MAX_ITERS, _ALS_TOL, _ALS_RESTARTS = 100, 1e-12, 5
+
+
+def cp_als(x: np.ndarray, rank: int, rng=None, init: CPTensor | None = None) -> CPTensor:
     """Fit a CP approximation by alternating least squares.
 
-    Runs ``restarts`` independent sweeps (the first seeded with ``init`` when
-    given, the rest with random unit-normal factors) and keeps the fit
-    closest to ``x``, measured on the densified fit.  Each mode update solves
-    regularized normal equations (ridge 1e-12), so a rank-deficient iterate
-    cannot abort the sweep, and the fit error is nonincreasing over the
-    sweeps of one run up to that regularization.  A run stops when the
-    change of its fit error, read off the Gram identity, drops below
-    ``tol*||x||`` or after ``max_iters`` sweeps.
+    Runs ``_ALS_RESTARTS`` (5) independent sweeps (the first seeded with
+    ``init`` when given, the rest with random unit-normal factors) and keeps
+    the fit closest to ``x``, measured on the densified fit.  Each mode
+    update solves regularized normal equations (ridge 1e-12), so a
+    rank-deficient iterate cannot abort the sweep, and the fit error is
+    nonincreasing over the sweeps of one run up to that regularization.  A
+    run stops when the change of its fit error, read off the Gram identity,
+    drops below ``_ALS_TOL*||x||`` (1e-12) or after ``_ALS_MAX_ITERS`` (100)
+    sweeps.
 
     Parameters
     ----------
@@ -313,8 +310,6 @@ def cp_als(
         Dense target tensor.
     rank : int
         Requested number of rank-one terms (>= 1).
-    max_iters : int
-        Largest number of sweeps per run (>= 1).
     rng : numpy Generator or seed, optional
         Source of the random restarts; fixed seeds give reproducible fits.
     init : CPTensor, optional
@@ -324,15 +319,13 @@ def cp_als(
     _check_finite([x], "x")
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
     rng = np.random.default_rng(rng)
     d = x.ndim
     norm_x = np.linalg.norm(x)
     unfoldings = [unfold(x, i) for i in range(d)]
 
     best, best_err = None, np.inf
-    for run in range(max(1, restarts)):
+    for run in range(_ALS_RESTARTS):
         if run == 0 and init is not None:
             if init.shape != x.shape or init.rank != rank:
                 raise ValueError("init must match the target shape and requested rank")
@@ -342,7 +335,7 @@ def cp_als(
         grams = [f.T @ f for f in factors]
 
         prev_err = np.inf
-        for _ in range(max_iters):
+        for _ in range(_ALS_MAX_ITERS):
             for i in range(d):
                 mttkrp = unfoldings[i] @ _khatri_rao([factors[j] for j in range(d) if j != i])
                 gram = _gram_product([grams[j] for j in range(d) if j != i])
@@ -353,7 +346,7 @@ def cp_als(
             inner = float(np.sum(mttkrp * factors[d - 1]))
             norm_t_sq = float(np.sum(_gram_product(grams)))
             err = math.sqrt(max(norm_x**2 - 2.0 * inner + norm_t_sq, 0.0))
-            if prev_err - err <= tol * max(norm_x, 1e-300):
+            if prev_err - err <= _ALS_TOL * max(norm_x, 1e-300):
                 break
             prev_err = err
         fit = CPTensor(tuple(factors))

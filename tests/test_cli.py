@@ -87,6 +87,13 @@ class TestStripBound:
         assert err.startswith("fracsum: log(1 + exp(tau))**(1/alpha) is not finite at tau") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_huge_xi_meets_the_floor_without_a_warning(self, tmp_path, capsys):
+        # xi times the decay overflows; the bound column is the exp(-745) floor, and stderr stays empty
+        out = tmp_path / "x.dat"
+        assert run(["strip-bound", "--xi", 1e308, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.all(load(out)[1:, 2] == math.exp(-745.0))
+
     def test_negative_tau_max_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.dat"
         assert run(["strip-bound", "--alpha", 0.3, "--tau-max", -5, "--out", out]) == 2

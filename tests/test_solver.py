@@ -62,6 +62,13 @@ class TestKroneckerSum:
         c = rng.standard_normal(ks.shape)
         np.testing.assert_allclose(vec(ks.apply(c)), kron_sum_matrix(factors) @ vec(c), atol=1e-12)
 
+    def test_a_solve_leaves_only_the_factors_and_their_spectra(self):
+        rng = np.random.default_rng(3)
+        ks = KroneckerSum([random_spd(rng, n) for n in (4, 5, 3)])
+        solve_tt(ks, tt_svd(rng.standard_normal(ks.shape), tol=0.0), make_es(), round_tol=1e-10)
+        assert set(vars(ks)) == {"_factors", "spectra"}
+        assert solver._tt_filter.cache_info().maxsize == 1
+
     def test_factors_and_spectra_are_read_only(self):
         rng = np.random.default_rng(2)
         a = random_spd(rng, 3)
@@ -333,7 +340,7 @@ def _same_tt_solve(got, want) -> bool:
 
 
 class TestTTFilterMemo:
-    """``solve_tt`` builds the filter train once per operator, sum and threshold."""
+    """``solve_tt`` builds the filter train once per operator, sum and budget, keeping one train per process."""
 
     @pytest.fixture
     def setup(self, monkeypatch):
@@ -365,15 +372,16 @@ class TestTTFilterMemo:
         ks = KroneckerSum(factors)
         es1, es2 = (build_expsum(params_for_terms(0.5, n)) for n in (30, 50))
         steps = [(es1, 1e-10), (es2, 1e-10), (es1, 1e-10), (es1, 1e-6), (es1, 1e-6), (es2, 1e-6), (es1, 1e-10)]
-        rebuilds, last = 0, (None, None)
+        rebuilds, last, got = 0, (None, None), []
         for es, round_tol in steps:
             rebuilds += last[0] is not es or last[1] != round_tol
             last = (es, round_tol)
-            got = solve_tt(ks, c, es, round_tol=round_tol)
+            got.append(solve_tt(ks, c, es, round_tol=round_tol))
             assert len(calls) == rebuilds
-            want = solve_tt(KroneckerSum(factors), c, es, round_tol=round_tol)
-            calls.pop()  # the fresh operator's build
-            assert _same_tt_solve(got, want)
+        # a fresh operator is another key, so each of these solves builds its own train
+        for (es, round_tol), x in zip(steps, got):
+            assert _same_tt_solve(x, solve_tt(KroneckerSum(factors), c, es, round_tol=round_tol))
+        assert len(calls) == rebuilds + len(steps)
 
     def test_an_equal_sum_reuses_the_train(self, setup):
         factors, c, calls = setup
@@ -420,7 +428,7 @@ class TestTTFilterMemo:
         for round_tol in (0.0, 1e-10, 1e-10):
             solve_tt(ks, c, es, round_tol=round_tol)
         filters = [a for a, _ in received]
-        assert filters[0] is not filters[1] is filters[2] is ks._tt_filter_memo[2]
+        assert filters[0] is not filters[1] is filters[2] is solver._tt_filter(ks, es, (es.n_terms - 1) * 1e-10 / 2)
         for pair in received:
             for train in pair:
                 for core in _as_cores(train)[:-1]:
@@ -443,7 +451,7 @@ class TestTTFilterMemo:
         swept.clear()
         solve_tt(ks, c, es, round_tol=1e-10)
         # only the sweep that gives the norm of c
-        assert ks._tt_filter_memo[2].ranks != c.ranks
+        assert solver._tt_filter(ks, es, (es.n_terms - 1) * 1e-10 / 2).ranks != c.ranks
         assert swept == [c.ranks]
 
     def test_a_right_hand_side_is_swept_once(self, setup, monkeypatch):
