@@ -518,72 +518,71 @@ def _a_posteriori_bound(alpha: float, weights: np.ndarray, exponents: np.ndarray
     On each cell the error ``e = S - f`` is expanded to order ``K = 12``
     about the midpoint ``m`` with radius ``r``; the cell bound is
     ``sum_k |e^(k)(m)| r^k / k!`` plus the remainder
-    ``max(|S^(K+1)(a)|, |f^(K+1)(a)|) r^(K+1) / (K+1)!``, valid because ``S``
+    ``max(|S^(K+1)|, |f^(K+1)|) r^(K+1) / (K+1)!`` left of the cell (``S``
+    at the previous midpoint, ``f`` at the left end), valid because ``S``
     and ``f = xi**-alpha`` are both completely monotone: their derivatives of
-    one order share a sign and shrink in modulus as ``xi`` grows.  Beyond the
-    last cell end ``X`` both are positive and decreasing, so the error is at
-    most ``max(S(X), X**-alpha)``; cells are added until that is below the
-    largest cell bound.
+    one order share a sign and shrink in modulus as ``xi`` grows.  Beyond
+    the last cell end ``X`` the error is at most ``max(S(X), X**-alpha)``;
+    cells are added until that is below the largest cell bound.
 
-    Every term is formed in the log domain, ``exp(log w + k log(t r) - t m
-    - log k!)``, so no ``0 * inf`` arises; each is enclosed by widening its
-    exponent by ``12 u`` times the sum of the moduli of its parts (``u`` the
-    unit roundoff, ``log`` and ``exp`` taken as accurate to 2 ulp), and the
-    sums by their accumulated rounding.  Terms with ``t * a > 1400`` on a
-    whole run of cells are below ``exp(-1300) w`` and are skipped.
+    A pass of cells from ``a`` on forms ``p_j = w_j exp(-t_j m)`` once per
+    cell and live term (``t_j a <= 1400``, so no power overflows) and the
+    moments ``M_k = sum_j p_j (t_j a)^k``, k = 0..K+2, by one matrix product:
+    ``|S^(k)(m)| r^k / k! = M_k (r/a)^k / k!``, while ``|f^(k)(x)| r^k / k!
+    = (alpha)_k / k! x**-alpha (r/x)^k``.  With ``u`` the unit roundoff, and
+    ``exp`` and ``**`` taken as accurate to 4 ulp:
+
+    - rounding ``t_j m`` moves ``p_j`` by ``u t_j m p_j``, in sum ``u (m/a) M_(k+1)``;
+    - ``M_k (r/a)^k / k!``, k >= 1, errs by at most ``(live + 5k + 9) u``
+      relative: exp 8, weight 1, power ``2k - 1``, the matrix product
+      ``live`` in any order, scale ``3k - 1``, last product and sum 2;
+    - ``M_0`` adds halves, so a term meets at most ``bit_length(live)``
+      additions, each off by ``u`` of its result (Higham 2002, section 4.2),
+      besides exp 8 and weight 1;
+    - the ``f`` side errs by ``(3k + 19) u`` relative;
+    - a term that is not live or whose exp is below the smallest normal
+      ``tiny`` is dropped: its ``t_j m`` exceeds 700, so over all orders it
+      adds at most ``w_j exp(-t_j m (1 - r/m))``, below ``w_j sqrt(tiny)``.
+      With the ``2^-1074`` each underflowing product may lose, that is in
+      the floor ``(sum_j w_j + n) sqrt(tiny)`` added to each cell and ``S(X)``;
+    - relative allowances carry a factor 1.02 for second-order terms, and a
+      final ``2 (K + 3) u`` covers the sum over orders and the remainder.
     """
     K = _TAYLOR_ORDER
-    lw, lt = np.log(weights), np.log(exponents)
-    k = np.arange(K + 2, dtype=float)
-    log_fact = np.log([float(math.factorial(i)) for i in range(K + 2)])
-    log_poch = np.log(np.cumprod([1.0] + [alpha + i for i in range(K + 1)]))  # (alpha)_k
-
-    def s_scaled(kk, lf, lr, x, live):
-        """Enclosure of ``sum_j w_j (t_j r)^k exp(-t_j x) / k!`` over the first ``live`` terms (last axis)."""
-        t = exponents[:live]
-        arg = lw[:live] + kk * (lt[:live] + lr) - t * x - lf
-        mag = np.abs(lw[:live]) + kk * (np.abs(lt[:live]) + np.abs(lr)) + t * x + lf
-        lo, hi = _exp_enclosure(arg, mag)
-        return lo.sum(axis=-1) * (1.0 - live * _U), hi.sum(axis=-1) * (1.0 + live * _U)
-
-    def f_scaled(kk, lf, lp, lr, x):
-        """Enclosure of ``|f^(k)(x)| r^k / k! = (alpha)_k / k! * x**-alpha * (r/x)**k``."""
-        lx = np.log(x)
-        arg = lp - lf - alpha * lx + kk * (lr - lx)
-        # the extra 1 per order covers the rounding of the Pochhammer product
-        return _exp_enclosure(arg, np.abs(lp) + lf + alpha * np.abs(lx) + kk * (np.abs(lr) + np.abs(lx) + 1.0))
-
+    k = np.arange(K + 2, dtype=float)[:, None]  # orders 0..K+1
+    poch = np.cumprod(np.append(1.0, (alpha + k[:-1, 0]) / k[1:, 0]))[:, None]  # (alpha)_k / k!
+    f_err = 1.02 * _U * (3.0 * k + 19.0)
+    floor = (float(np.sum(weights)) + len(weights)) * math.sqrt(np.finfo(float).tiny)
     chunk = min(256, max(16, 2**19 // (len(weights) * (K + 1))))  # cells per pass
     worst, a = 0.0, 1.0
     while True:
-        edges = a * _CELL_RATIO ** np.arange(chunk + 1)
+        edges = a * _CELL_RATIO ** np.arange(-1, chunk + 1)  # from one cell before a, for the remainder
         left, right = edges[:-1], edges[1:]
         mid = left + (right - left) / 2.0
         rad = np.maximum(mid - left, right - mid)  # exact differences: [left, right] lies in mid +- rad
-        lrad = np.log(rad)
-        live = int(np.searchsorted(exponents, 1400.0 / left[0], side="right"))
-
-        # Taylor coefficients |e^(k)(m)| r^k / k!, k = 0..K, shape (cells, K+1)
-        s_lo, s_hi = s_scaled(k[: K + 1, None], log_fact[: K + 1, None], lrad[:, None, None], mid[:, None, None], live)
-        f_lo, f_hi = f_scaled(k[: K + 1], log_fact[: K + 1], log_poch[: K + 1], lrad[:, None], mid[:, None])
-        coef = np.maximum(s_hi - f_lo, f_hi - s_lo) * (1.0 + 2.0 * _U)
-        # remainder from the order K+1 derivative moduli at the left end
-        _, rem_s = s_scaled(k[K + 1], log_fact[K + 1], lrad[:, None], left[:, None], live)
-        _, rem_f = f_scaled(k[K + 1], log_fact[K + 1], log_poch[K + 1], lrad, left)
-        worst = max(worst, float(np.max(coef.sum(axis=1) + np.maximum(rem_s, rem_f))))
-
-        # everything beyond the last cell end
-        x = float(right[-1])
-        tail = max(float(s_scaled(0.0, 0.0, 0.0, x, len(weights))[1]), float(f_scaled(0.0, 0.0, 0.0, 0.0, x)[1]))
+        live = int(np.searchsorted(exponents, 1400.0 / a, side="right"))
+        t = exponents[:live, None]
+        e = np.exp(-t * mid)
+        m0 = p = np.where(e >= np.finfo(float).tiny, weights[:live, None] * e, 0.0)  # (terms, cells)
+        while len(m0) > 1:
+            h = len(m0) // 2
+            m0 = np.concatenate((m0[:h] + m0[h : 2 * h], m0[2 * h :]))
+        mom = np.vstack((m0.sum(axis=0), np.cumprod(np.broadcast_to(t.T * a, (K + 2, live)), axis=0) @ p))
+        err = np.vstack(((live.bit_length() + 9) * mom[:1], (live + 5 * K + 14) * mom[1:-1]))
+        err = 1.02 * _U * (err + mid / a * mom[1:])
+        scale = np.cumprod(np.vstack((np.ones_like(rad), rad / a / k[1:])), axis=0)  # (r/a)^k / k!
+        rem_s = (mom[K + 1, :-1] + err[K + 1, :-1]) * scale[K + 1, 1:]
+        f = poch[: K + 1] * mid[1:] ** -alpha * (rad[1:] / mid[1:]) ** k[: K + 1]
+        rem_f = poch[K + 1] * left[1:] ** -alpha * (rad[1:] / left[1:]) ** (K + 1) * (1.0 + f_err[K + 1])
+        coef = np.abs(mom[: K + 1, 1:] * scale[: K + 1, 1:] - f) + (err * scale)[: K + 1, 1:] + f_err[: K + 1] * f
+        worst = max(worst, float(np.max(coef.sum(axis=0) + np.maximum(rem_s, rem_f))) + floor)
+        x = float(right[-1])  # beyond it, terms with t_j x > 1400 are in the floor
+        n = int(np.searchsorted(exponents, 1400.0 / x, side="right"))
+        tail_s = float(weights[:n] @ np.exp(-(exponents[:n] * x) * (1.0 - 2.0 * _U))) * (1.0 + 1.02 * (n + 9) * _U)
+        tail = max(tail_s + floor, x**-alpha * (1.0 + 8.0 * _U))
         if tail <= worst or x > 1e300:
             return max(worst, tail) * (1.0 + 2.0 * (K + 3) * _U)
         a = x
-
-
-def _exp_enclosure(arg, mag):
-    """Lower and upper bounds of ``exp(arg)`` for an ``arg`` computed with rounding of at most ``12 u mag``."""
-    slack = 12.0 * _U * mag + 8.0 * _U
-    return np.exp(arg - slack) * (1.0 - 4.0 * _U), np.exp(arg + slack) * (1.0 + 4.0 * _U)
 
 
 def expsum_to_text(es: ExpSum) -> str:

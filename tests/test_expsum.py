@@ -11,6 +11,7 @@ import pytest
 from fracsum.expsum import (
     EPS_CAP,
     ExpSumParams,
+    _a_posteriori_bound,
     _params_at,
     best_expsum,
     build_expsum,
@@ -262,14 +263,26 @@ class TestBestExpsum:
         assert certified_bound(es) <= 1e-12
         assert total_error_bound(params_for_terms(0.5, 200)) > 1e-4
 
-    @pytest.mark.parametrize("alpha, n_terms", [(0.05, 10), (0.1, 200), (0.25, 8)])
+    @pytest.mark.parametrize("alpha, n_terms", [(0.05, 10), (0.1, 200), (0.25, 8), (0.02, 50), (0.99, 400)])
     def test_small_alpha(self, alpha, n_terms):
         # narrow admissible strips (eps near 1), a strip search that ends on
         # the boundary of the admitted strips (0.25, 8), and a lattice that
-        # must stop before t_j underflows to zero
-        es = best_expsum(alpha, n_terms)
-        assert es.exponents[0] >= np.finfo(float).tiny
-        assert certified_bound(es) <= total_error_bound(params_for_terms(alpha, n_terms))
+        # must stop before t_j underflows to zero; at 0.1 the certificate's
+        # cells run past 1e68 with t_min ~ 1e-71, where an unscaled r**k
+        # would overflow, and 400 terms at 0.99 are accurate to u
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            es = best_expsum(alpha, n_terms)
+            assert es.exponents[0] >= np.finfo(float).tiny
+            assert certified_bound(es) <= total_error_bound(params_for_terms(alpha, n_terms))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n_terms", [25, 50, 100, 200])
+    def test_certificate_is_tight_on_a_priori_sums(self, alpha, n_terms):
+        # these sums err most at xi = 1, the first grid point; their
+        # certificates stop below 1e25, well inside the grid
+        es = build_expsum(params_for_terms(alpha, n_terms))
+        err = float(np.max(np.abs(evaluate(es, self.XI) - self.XI ** (-alpha))))
+        assert err <= _a_posteriori_bound(alpha, es.weights, es.exponents) <= (1.0 + 1e-6) * err
 
     @pytest.mark.parametrize("h, admissible", [(1.8, True), (2.206105879648301, False)])
     def test_underflowing_lattice_is_inadmissible(self, h, admissible):
