@@ -23,7 +23,6 @@ results do not depend on the thread setting.
 """
 
 from .expsum import (
-    EPS_CAP,
     ExpSum,
     ExpSumParams,
     best_expsum,

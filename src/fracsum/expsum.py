@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "EPS_CAP",
     "ExpSum",
     "ExpSumParams",
     "best_expsum",
@@ -46,11 +44,7 @@ __all__ = [
     "total_error_bound",
 ]
 
-# Largest accuracy target for which the closed-form error bound is certified.
-EPS_CAP = math.exp(-math.pi**2 / 4)  # ~0.08480
-
 _COS_PI_8 = math.cos(math.pi / 8)
-_COS_PI_4 = math.cos(math.pi / 4)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -60,7 +54,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _widest_strip(alpha: float) -> float:
-    """The widest strip half-width ``pi*alpha/8``, which :class:`ExpSumParams` admits and the closed-form bound certifies."""
+    """The widest strip half-width ``pi*alpha/8`` that :class:`ExpSumParams` admits."""
     return math.pi * alpha / 8.0
 
 
@@ -227,9 +221,7 @@ def select_params(alpha: float, eps: float) -> ExpSumParams:
     alpha : float
         Power-function exponent, in (0, 1).
     eps : float
-        Target accuracy.  Values above ``EPS_CAP`` (~0.085) are accepted but
-        flagged: the readable closed-form bound is not certified there and
-        :func:`total_error_bound` falls back to the generic form.
+        Target accuracy, in ``[tiny, 1)``.
 
     The strip half-width is the maximum ``d = pi*alpha/8``, which maximizes
     the quadrature decay rate.
@@ -241,12 +233,6 @@ def select_params(alpha: float, eps: float) -> ExpSumParams:
     _check_alpha(alpha)
     _check_eps(eps)
     d = _widest_strip(alpha)
-    if eps > EPS_CAP:
-        warnings.warn(
-            f"eps = {eps:g} exceeds exp(-pi^2/4) ~ {EPS_CAP:.4f}; "
-            "the closed-form error constant is not certified in this regime",
-            stacklevel=2,
-        )
     n_minus, n_plus = _certified_counts(alpha, d, math.log(1.0 / eps))
     return ExpSumParams(alpha=alpha, eps=eps, d=d, n_minus=n_minus, n_plus=n_plus)
 
@@ -366,35 +352,23 @@ def strip_norm_bound(alpha: float, xi: float) -> float:
 
 
 def total_error_bound(params: ExpSumParams) -> float:
-    """Certified uniform error bound over ``xi in [1, inf)``.
+    """Certified uniform error bound over ``xi in [1, inf)``, for every parameter set.
 
-    For ``eps <= EPS_CAP`` and the default strip width ``d = pi*alpha/8``
-    this is the closed form
+    The bound is
+
+        (strip_norm_bound(alpha, 1) + 1/h + 1/(beta*h**(1/alpha))) * eps.
+
+    At the widest strip ``d = pi*alpha/8`` and ``eps <= exp(-pi^2/4)`` the
+    paper states the readable upper bound
 
         2*[1 + log 2 + Gamma(alpha+1)/cos(pi/8)**alpha
-             + cos(pi/4)**-1 * (4*log(1/eps)/(pi^2*alpha))**(1/alpha)] * eps.
+             + cos(pi/4)**-1 * (4*log(1/eps)/(pi^2*alpha))**(1/alpha)] * eps,
 
-    Otherwise the generic form
-
-        (strip_norm_bound(alpha, 1) + 1/h + 1/(beta*h**(1/alpha))) * eps
-
-    is returned; it is valid for every parameter set accepted by
-    :class:`ExpSumParams` (the closed form absorbs the 1/h terms using the
-    maximal strip width, so it certifies only that choice of ``d``).
+    which replaces ``1/h`` by a second copy of ``(1/h)**(1/alpha)/cos(pi/4)``
+    and is therefore larger there, by up to a factor of 2.
     """
-    alpha, eps = params.alpha, params.eps
-    d_is_max = math.isclose(params.d, _widest_strip(alpha), rel_tol=1e-12)
-    if eps <= EPS_CAP and d_is_max:
-        log_inv_eps = math.log(1.0 / eps)
-        bracket = (
-            1.0
-            + math.log(2.0)
-            + math.gamma(alpha + 1.0) / _COS_PI_8**alpha
-            + (4.0 * log_inv_eps / (math.pi**2 * alpha)) ** (1.0 / alpha) / _COS_PI_4
-        )
-        return 2.0 * bracket * eps
-    h, beta = params.h, params.beta
-    return (strip_norm_bound(alpha, 1.0) + 1.0 / h + 1.0 / (beta * h ** (1.0 / alpha))) * eps
+    alpha, h, beta = params.alpha, params.h, params.beta
+    return (strip_norm_bound(alpha, 1.0) + 1.0 / h + 1.0 / (beta * h ** (1.0 / alpha))) * params.eps
 
 
 # Fixed-budget search (best_expsum).  Lattice terms whose weight falls below

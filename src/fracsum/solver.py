@@ -56,6 +56,7 @@ from .tensors import (
     MemoryCapError,
     TTTensor,
     TuckerTensor,
+    _check_finite,
     _check_memory,
     _check_nonnegative,
     _cp_to_tt,
@@ -94,8 +95,7 @@ class KroneckerSum:
         for i, a in enumerate(factors):
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError(f"factor {i} is not square")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"factor {i} has non-finite entries")
+            _check_finite([a], f"factor {i}")
             scale = np.max(np.abs(a))
             if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
                 raise ValueError(f"factor {i} is not symmetric")

@@ -31,6 +31,17 @@ def ref_power(xi: float, alpha: float) -> float:
     return a
 
 
+def paper_closed_form_bound(alpha: float, eps: float) -> float:
+    """The paper's readable a-priori bound, stated for the strip ``d = pi*alpha/8`` and ``eps <= exp(-pi^2/4)``.
+
+    ``2*[1 + log 2 + Gamma(alpha+1)/cos(pi/8)**alpha
+    + (4*log(1/eps)/(pi^2*alpha))**(1/alpha)/cos(pi/4)] * eps``.
+    """
+    assert eps <= math.exp(-math.pi**2 / 4.0), eps
+    growth = (4.0 * math.log(1.0 / eps) / (math.pi**2 * alpha)) ** (1.0 / alpha) / math.cos(math.pi / 4.0)
+    return 2.0 * (1.0 + math.log(2.0) + math.gamma(alpha + 1.0) / math.cos(math.pi / 8.0) ** alpha + growth) * eps
+
+
 def expm_taylor(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a plain Taylor series."""
     m = np.asarray(m, dtype=float)

@@ -235,10 +235,11 @@ def test_criterion_7_mesh_independence():
 
 
 def test_criterion_8_high_dimensional_accuracy(tmp_path):
-    # NOTE: the a-priori rule params_for_terms certifies only 1.24e-6 with
-    # 200 terms at alpha = 0.5; tt-highd --N instead uses best_expsum, the
-    # most accurate 200-term sum of the same family, certified a posteriori
-    # at ~8.3e-14, which puts the solve error near 1e-10.
+    # NOTE: the 200-term sum of the a-priori rule params_for_terms at
+    # alpha = 0.5 targets eps = 1.24e-6, errs by 1.33e-6 (sampled) and is
+    # certified a priori at 2.3e-4; tt-highd --N instead uses best_expsum,
+    # the most accurate 200-term sum of the same family, certified a
+    # posteriori at ~8.3e-14, which puts the solve error near 1e-10.
     out = tmp_path / "tt4.dat"
     assert cli_main(["tt-highd", "--d", "4", "--n", "16", "--alpha", "0.5", "--N", "200", "--out", str(out)]) == 0
     d, wall, err, rank = np.loadtxt(out)

@@ -8,8 +8,8 @@ import pickle
 import numpy as np
 import pytest
 
+from fracsum.cli import XI_GRID
 from fracsum.expsum import (
-    EPS_CAP,
     ExpSumParams,
     _a_posteriori_bound,
     _params_at,
@@ -25,7 +25,7 @@ from fracsum.expsum import (
     total_error_bound,
 )
 
-from _oracles import log_abs_g, ref_power
+from _oracles import log_abs_g, paper_closed_form_bound, ref_power
 
 
 class TestIntegrand:
@@ -109,14 +109,13 @@ class TestSelectParams:
         assert p.n_terms == 206
 
     def test_boundary_eps_accepted_quietly(self):
+        # one bound holds for every eps, so no target is flagged: not at the
+        # paper's exp(-pi^2/4), nor far above it
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            select_params(0.5, EPS_CAP)
-
-    def test_loose_eps_flagged(self):
-        with pytest.warns(UserWarning):
+            select_params(0.5, math.exp(-math.pi**2 / 4.0))
             select_params(0.999, 0.5)
 
     @pytest.mark.parametrize(
@@ -343,19 +342,18 @@ class TestBounds:
 
     def test_total_error_bound_golden(self):
         p = select_params(0.5, 1e-6)
-        assert total_error_bound(p) == pytest.approx(3.599288237597566e-04, rel=1e-13)
+        assert total_error_bound(p) == pytest.approx(1.9377800359325915e-04, rel=1e-13)
+        # below the paper's closed form at the same target
+        assert paper_closed_form_bound(0.5, 1e-6) == pytest.approx(3.599288237597566e-04, rel=1e-13)
+        assert total_error_bound(p) < paper_closed_form_bound(0.5, 1e-6)
 
     def test_total_error_bound_switchover(self):
-        tight = select_params(0.5, EPS_CAP)
-        closed = total_error_bound(tight)
-        with pytest.warns(UserWarning):
-            loose = select_params(0.5, EPS_CAP * 1.1)
-        generic = total_error_bound(loose)
-        first_form = (
-            strip_norm_bound(0.5, 1.0) + 1.0 / loose.h + 1.0 / (loose.beta * loose.h**2)
-        ) * loose.eps
-        assert generic == pytest.approx(first_form, rel=1e-14)
-        assert closed > 0.0
+        # the same formula on both sides of exp(-pi^2/4), where the paper's
+        # closed form stops being stated
+        for eps in math.exp(-math.pi**2 / 4.0) * np.array([0.9, 1.0, 1.1]):
+            p = select_params(0.5, eps)
+            first_form = (strip_norm_bound(0.5, 1.0) + 1.0 / p.h + 1.0 / (p.beta * p.h**2)) * p.eps
+            assert total_error_bound(p) == pytest.approx(first_form, rel=1e-14)
 
     def test_total_error_bound_generic_for_narrow_strip(self):
         alpha, eps, d = 0.5, 1e-6, 0.1
@@ -378,6 +376,15 @@ class TestBounds:
         xi = np.logspace(0, 6, 100)
         err = np.max(np.abs(evaluate(es, xi) - xi**-0.5))
         assert err <= total_error_bound(p)
+        # the expsum-convergence rows up to 300 terms: sampled error <= bound
+        # < the paper's closed form, which the grid's eps <= e^-2.5 admits
+        for alpha in (0.25, 0.5, 0.75):
+            for log_inv_eps in np.linspace(2.5, 40.0, 120):
+                p = select_params(alpha, math.exp(-log_inv_eps))
+                if p.n_terms > 300:
+                    break
+                err = np.max(np.abs(evaluate(build_expsum(p), XI_GRID) - XI_GRID**-alpha))
+                assert err <= total_error_bound(p) < paper_closed_form_bound(alpha, p.eps), (alpha, p.eps)
 
 
 class TestStripDecayBounds:
