@@ -109,14 +109,26 @@ class TestSelectParams:
         assert p.n_terms == 206
 
     def test_boundary_eps_accepted_quietly(self):
-        # one bound holds for every eps, so no target is flagged: not at the
-        # paper's exp(-pi^2/4), nor far above it
+        # one bound holds for every eps, so the paper's exp(-pi^2/4) is no cap
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             select_params(0.5, math.exp(-math.pi**2 / 4.0))
-            select_params(0.999, 0.5)
+
+    def test_loose_eps_flagged(self):
+        # a target far above exp(-pi^2/4) is no longer flagged with a warning:
+        # the general strip bound is certified there too, and covers both the
+        # a-posteriori certificate and the measured error
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = select_params(0.999, 0.5)
+        es = build_expsum(p)
+        xi = np.logspace(0.0, 8.0, 401)
+        err = float(np.max(np.abs(evaluate(es, xi) - xi**-0.999)))
+        assert err <= certified_bound(es) <= total_error_bound(p)
 
     @pytest.mark.parametrize(
         "alpha,eps", [(0.0, 1e-4), (1.0, 1e-4), (1.2, 1e-4), (0.5, 0.0), (0.5, -1.0), (0.5, 1.0), (0.5, 1e-320)]
