@@ -224,7 +224,8 @@ def _poisson_setup(args):
     if args.d < 1 or args.n < 2:
         raise ValueError("need dimension >= 1 and grid size >= 2")
     _check_memory_cap(args.memory_cap)
-    _check_memory(args.n ** args.d, args.memory_cap, "oracle")
+    # the oracle's n x n eigenvectors outgrow its n**d entries at d = 1
+    _check_memory(max(args.n ** args.d, args.n ** 2), args.memory_cap, "oracle")
     grids = [Grid1D(args.n)] * args.d
     ks = KroneckerSum([laplacian_1d(args.n)] * args.d)
     rhs = sample_rhs(RhsSpec(kind=args.rhs, d=args.d, seed=args.seed), grids, memory_cap=args.memory_cap)
@@ -233,6 +234,8 @@ def _poisson_setup(args):
 
 
 def cmd_poisson(args) -> None:
+    if args.N < 3:
+        raise ValueError("--N must be at least 3 (smallest certified sum)")
     _check_nonnegative(args.round_tol, "round_tol")
     if args.alpha == 1.0 and args.dump_expsum:
         raise ValueError("--dump-expsum needs alpha < 1: the classical mode alpha = 1 builds no sum")
@@ -256,7 +259,7 @@ def cmd_poisson(args) -> None:
         lengths = _parse_lengths(args.sum_lengths)
     else:
         # params_for_terms hits every budget >= 3 exactly
-        lengths = np.unique(np.geomspace(3, max(args.N, 3), 30).astype(int))
+        lengths = np.unique(np.geomspace(3, args.N, 30).astype(int))
     solve = _format_solver(ks, rhs, dense, args)
     rows = []
     last = None
@@ -361,9 +364,9 @@ def cmd_tt_highd(args) -> None:
         es = best_expsum(args.alpha, args.N)
     rows = []
     for d in dims:
-        grids = [Grid1D(args.n)] * d
+        # the train's guarded set-up runs before the n x n factors are formed
+        rhs = _inv_linear_tt([Grid1D(args.n)] * d)
         ks = KroneckerSum([laplacian_1d(args.n)] * d)
-        rhs = _inv_linear_tt(grids)
         x, report = solve_tt(ks, rhs, es, round_tol=args.round_tol)
         if d <= 4 and args.n ** d <= args.memory_cap:
             x_ref = oracle_apply(ks, rhs.to_dense(memory_cap=args.memory_cap), args.alpha, memory_cap=args.memory_cap)

@@ -120,7 +120,10 @@ def _inv_linear_tt(grids) -> TTTensor:
     lattice values ``h*(d + k)`` with ``k = 0 .. d*(n-1)``, so the tensor of
     samples factorizes exactly through carriages that track the running index
     sum; the raw ranks ``j*(n-1)+1`` collapse to the numerical rank after one
-    rounding pass.
+    rounding pass.  The raw carriages are dense, so a largest one of more
+    than ``DEFAULT_MEMORY_CAP`` entries raises :class:`MemoryCapError` before
+    any is formed.  That cap is the library default, not ``sample_rhs``'s
+    ``memory_cap``, which only chooses between the dense array and the train.
     """
     ns = {g.n for g in grids}
     if len(ns) != 1:
@@ -130,16 +133,15 @@ def _inv_linear_tt(grids) -> TTTensor:
     if d < 2:
         raise ValueError("tensor trains need at least two modes")
     h = grids[0].h
+    ranks = [j * (n - 1) + 1 for j in range(d)] + [1]  # carriage j maps ranks[j] running sums to ranks[j+1]
+    _check_memory(max(r * n * q for r, q in zip(ranks, ranks[1:])), DEFAULT_MEMORY_CAP, "inv_linear train")
     cars = [np.eye(n)]
     for j in range(1, d - 1):
-        m_in = j * (n - 1) + 1
-        m_out = (j + 1) * (n - 1) + 1
-        c = np.zeros((m_in, n, m_out))
-        s_idx = np.arange(m_in)
+        c = np.zeros((ranks[j], n, ranks[j + 1]))
+        s_idx = np.arange(ranks[j])
         for k in range(n):
             c[s_idx, k, s_idx + k] = 1.0
         cars.append(c)
-    m_last = (d - 1) * (n - 1) + 1
-    s = np.add.outer(np.arange(m_last), np.arange(n))  # running index sum
+    s = np.add.outer(np.arange(ranks[d - 1]), np.arange(n))  # running index sum
     cars.append(1.0 / (1.0 + h * (s + d)))
     return tt_round(TTTensor(tuple(cars)), 1e-10)

@@ -7,10 +7,9 @@ in every format.  A product along one mode passes identities for the
 others; under this convention ``multi_mode_product(X, [A, I])`` is ``A @ X``
 for a d = 2 tensor, and the product along mode i alone acts on the
 linearized tensor as the Kronecker-structured matrix whose non-identity
-factor sits in position i counted from the right.  ``_normed`` is the one
-reader of a Frobenius norm, in every format; it hands a train back
-left-orthogonal by the QR sweep of ``_left_orthogonal``, the only sweep a
-train gets in a solve.
+factor sits in position i counted from the right.  ``_normed`` reads the
+Frobenius norm of every format and hands a train back left-orthogonal, by
+the one QR sweep a train gets in a solve (``_left_orthogonal``).
 
 Formats:
 
@@ -25,9 +24,11 @@ Every train is rounded by the two sweeps of ``_sweep_round`` within a
 Frobenius budget for the whole rounding, which only it splits into steps:
 :func:`tt_round` rounds a train's own carriages, ``_cp_to_tt`` compresses a
 CP tensor, and ``_tt_hadamard_round`` the entrywise product of two
-left-orthogonal trains, whose carriages it never forms.  With a zero budget
-only singular values below a step's noise floor are cut.  :func:`tt_svd`
-factorizes a dense tensor.
+left-orthogonal trains, whose carriages it never forms.  The first and the
+last read a norm off work they do anyway, not through ``_normed``: ``||x||``
+off the first truncation step, which saves a sweep, and ``||b||`` off
+``b``'s last core.  With a zero budget only singular values below a step's
+noise floor are cut.  :func:`tt_svd` factorizes a dense tensor.
 
 ``_sweep_round`` runs on one OpenBLAS thread (``_one_blas_thread``) and then
 restores the process's count.  Its QRs and SVDs are at most about a
@@ -622,8 +623,8 @@ def tt_round(x: TTTensor, tol: float) -> TTTensor:
     _check_nonnegative(tol, "tol")
     cores = _as_cores(x)
 
-    def left(k, m, rows):
-        return np.tensordot(m, cores[k][:, rows], axes=1)
+    def left(k, m):
+        return np.tensordot(m, cores[k], axes=1)
 
     def right(k, m, rows):
         return np.tensordot(m, cores[k][:, rows], axes=([1], [2])).transpose(0, 2, 1)
@@ -637,21 +638,22 @@ def _sweep_round(
 ) -> TTTensor:
     """Round a train known only through its carriages' contractions within ``budget + cut``.
 
-    ``left(k, m, rows)`` contracts the left rank of carriage ``k`` (an
-    ``R x n_k x R'`` array, restricted to the mode indices ``rows``) with the
-    columns of ``m``, giving ``(len(m), len(rows), R')``; ``right(k, m, rows)``
-    contracts its right rank instead, giving ``(len(m), len(rows), R)``.  The
-    train is closed by ones: ``m`` is ``[[1]]`` at carriage 0's left rank and
-    the last one's right rank (broadcast where that rank exceeds one), and
-    the last carriage is summed over its right rank.  ``block`` mode indices
-    are contracted at a time, all of a carriage's when it is None.
+    ``left(k, m)`` contracts the left rank of carriage ``k`` (an
+    ``R x n_k x R'`` array) with the columns of ``m``, giving
+    ``(len(m), n_k, R')``; ``right(k, m, rows)`` contracts its right rank,
+    of the mode indices ``rows`` only, giving ``(len(m), len(rows), R)``.
+    The train is closed by ones: ``m`` is ``[[1]]`` at carriage 0's left
+    rank and the last one's right rank (broadcast where that rank exceeds
+    one), and the last carriage is summed over its right rank.
 
     Right to left, only the triangular factor ``T_k`` of each right part
-    (carriages ``k..d-1``, its left rank as columns) is kept:
-    ``T_k`` is the R factor of the right contraction of ``T_{k+1}``,
-    accumulated block by block as ``qr(vstack([T_k, block]))``, so by one QR
-    per carriage when ``block`` is None.  Left to right, ``M_k`` is the
-    carry ``Z_k`` (``[[1]]`` for ``k = 0``) contracted with carriage ``k``.
+    (carriages ``k..d-1``, its left rank as columns) is kept: the R factor
+    of the right contraction of ``T_{k+1}``, accumulated ``block`` mode
+    indices at a time as ``qr(vstack([T_k, block]))`` (one QR per carriage
+    when ``block`` is None), so a smaller block bounds the stack each QR
+    takes.  Left to right, one ``left`` call per carriage gives ``M_k``, the
+    carry ``Z_k`` (``[[1]]`` for ``k = 0``) contracted with carriage ``k``;
+    its SVD needs all of it at once, so that sweep is not blocked.
     The right part is ``T_{k+1}^T`` times orthonormal rows, so the singular
     values of ``M_k T_{k+1}^T`` are exactly those of the unfolding against
     the basis kept so far; truncating them at ``delta = budget/sqrt(d-1)``
@@ -687,15 +689,12 @@ def _sweep_round(
     d = len(shape)
     delta, cut = budget / math.sqrt(d - 1), cut / (d - 1)
 
-    def blocks(k):
-        step = block or shape[k]
-        return [slice(lo, lo + step) for lo in range(0, shape[k], step)]
-
     z = one = np.ones((1, 1))
     ts = [None] * d + [one]  # ts[k]: the (cut) R factor of the right part from carriage k on
     for k in range(d - 1, 0, -1):
-        for rows in blocks(k):
-            w = right(k, ts[k + 1], rows)
+        step = block or shape[k]
+        for lo in range(0, shape[k], step):
+            w = right(k, ts[k + 1], slice(lo, lo + step))
             w = w.reshape(-1, w.shape[2])
             ts[k] = np.linalg.qr(w if ts[k] is None else np.vstack([ts[k], w]), mode="r")
         if cut > 0.0:
@@ -703,12 +702,9 @@ def _sweep_round(
             p = _truncation_rank(s, cut)
             ts[k] = s[:p, None] * vt[:p]
 
-    def carry(k, z):
-        return np.concatenate([left(k, z, rows) for rows in blocks(k)], axis=1)
-
     cores = []
     for k in range(d - 1):
-        m = carry(k, z)
+        m = left(k, z)
         m = m.reshape(-1, m.shape[2])
         u, s, _ = np.linalg.svd(m @ ts[k + 1].T, full_matrices=False)
         if relative and k == 0:
@@ -717,7 +713,7 @@ def _sweep_round(
         u = u[:, :_truncation_rank(s, delta)].copy()
         cores.append(u.reshape(len(z), shape[k], -1))
         z = u.T @ m
-    cores.append(carry(d - 1, z).sum(axis=2, keepdims=True))
+    cores.append(left(d - 1, z).sum(axis=2, keepdims=True))
     return _from_cores(cores)
 
 
@@ -730,7 +726,7 @@ def _cp_to_tt(factors, budget: float) -> TTTensor:
     budget is spent as :func:`_sweep_round` says.
     """
 
-    def scale(k, m, rows):
+    def scale(k, m, rows=slice(None)):
         return m[:, None, :] * factors[k][None, rows]
 
     shape = [len(f) for f in factors]
@@ -782,8 +778,8 @@ def _tt_hadamard_round(a: TTTensor, b: TTTensor, tol: float) -> TTTensor:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     ga, gb = _as_cores(a), _as_cores(b)
 
-    def left(k, m, rows):
-        return _kron_contract(m, ga[k][:, rows], gb[k][:, rows])
+    def left(k, m):
+        return _kron_contract(m, ga[k], gb[k])
 
     def right(k, m, rows):
         return _kron_contract(m, ga[k][:, rows].transpose(2, 1, 0), gb[k][:, rows].transpose(2, 1, 0))

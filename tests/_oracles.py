@@ -115,7 +115,7 @@ def face_split(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def tt_hadamard_round_face_split(a: TTTensor, b: TTTensor, tol: float) -> TTTensor:
-    """``tensors._tt_hadamard_round`` with the product's carriages formed by :func:`face_split`, four mode indices at a time.
+    """``tensors._tt_hadamard_round`` with the product's carriages formed by :func:`face_split`, four mode indices at a time in the right sweep.
 
     Both inputs must be left-orthogonal, as for the kernel, and each right
     part's triangular factor grows by one QR per block, with the same budget
@@ -124,8 +124,8 @@ def tt_hadamard_round_face_split(a: TTTensor, b: TTTensor, tol: float) -> TTTens
     """
     ga, gb = _as_cores(a), _as_cores(b)
 
-    def left(k, m, rows):
-        return np.tensordot(m, face_split(ga[k][:, rows], gb[k][:, rows]), axes=1)
+    def left(k, m):
+        return np.tensordot(m, face_split(ga[k], gb[k]), axes=1)
 
     def right(k, m, rows):
         return np.tensordot(m, face_split(ga[k][:, rows], gb[k][:, rows]), axes=([1], [2])).transpose(0, 2, 1)

@@ -78,7 +78,7 @@ class TestOneThreadPerRounding:
         assert threads() == two_threads
 
     def test_exception_inside_the_sweep_restores_the_count(self, two_threads):
-        def left(k, m, rows):
+        def left(k, m):
             raise RuntimeError("left contraction failed")
 
         def right(k, m, rows):
@@ -92,10 +92,10 @@ class TestOneThreadPerRounding:
         x = rand_tt((4, 5, 4), (2, 3), seed=3)
         inner = []
 
-        def left(k, m, rows):
+        def left(k, m):
             tt_round(x, 0.0)
             inner.append(threads())
-            return np.tensordot(m, tensors._as_cores(x)[k][:, rows], axes=1)
+            return np.tensordot(m, tensors._as_cores(x)[k], axes=1)
 
         def right(k, m, rows):
             return np.tensordot(m, tensors._as_cores(x)[k][:, rows], axes=([1], [2])).transpose(0, 2, 1)

@@ -152,6 +152,22 @@ class TestPoisson:
         code = run(["poisson", "--d", 9, "--n", 16, "--alpha", 0.4, "--out", tmp_path / "x.dat"])
         assert code == 3
 
+    def test_one_dimensional_factor_counted_against_the_cap(self, tmp_path, capsys, monkeypatch):
+        # n**d is 1000 entries, but the factor and the oracle's eigenvectors are n x n
+        def reached(*args, **kwargs):
+            raise AssertionError("poisson built a factor above the cap")
+
+        monkeypatch.setattr(fracsum.cli, "laplacian_1d", reached)
+        code = run(["poisson", "--d", 1, "--n", 1000, "--memory-cap", 100000, "--out", tmp_path / "x.dat"])
+        assert code == 3
+        assert capsys.readouterr().err == "fracsum: oracle needs 1000000 entries, cap is 100000\n"
+
+    @pytest.mark.parametrize("n_terms", [0, 2])
+    def test_sum_length_below_three_rejected(self, tmp_path, n_terms, capsys):
+        assert run(["poisson", "--n", 6, "--N", n_terms, "--out", tmp_path / "x.dat"]) == 2
+        assert capsys.readouterr().err == "fracsum: --N must be at least 3 (smallest certified sum)\n"
+        assert not (tmp_path / "x.dat").exists()
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"
         for out in (a, b):
@@ -226,6 +242,15 @@ class TestTTHighD:
         monkeypatch.setattr(fracsum.cli, "sample_rhs", reached)
         monkeypatch.setattr(fracsum.cli, "tt_svd", reached)
         assert run(["tt-highd", "--d", 5, "--n", 8, "--N", 20, "--out", tmp_path / "tt5.dat"]) == 0
+
+    def test_train_set_up_above_the_default_cap_exits_three(self, tmp_path, capsys, monkeypatch):
+        # the raw carriage of --d 3 --n 500 has 500 * 500 * 999 entries, above 2**27
+        def reached(*args, **kwargs):
+            raise AssertionError("tt-highd built a factor before its right-hand side")
+
+        monkeypatch.setattr(fracsum.cli, "laplacian_1d", reached)
+        assert run(["tt-highd", "--d", 3, "--n", 500, "--N", 10, "--out", tmp_path / "x.dat"]) == 3
+        assert capsys.readouterr().err == "fracsum: inv_linear train needs 249750000 entries, cap is 134217728\n"
 
     def test_multiple_dimensions_one_row_each(self, tmp_path):
         out = tmp_path / "tt.dat"

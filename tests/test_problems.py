@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fracsum.problems
 from fracsum.problems import Grid1D, RhsSpec, laplacian_1d, sample_rhs
 from fracsum.solver import MemoryCapError
 from fracsum.tensors import CPTensor, TTTensor
@@ -108,6 +109,14 @@ class TestSampleRhs:
             idx = tuple(rng.integers(0, 10, 4))
             expected = 1.0 / (1.0 + sum(pts[i] for i in idx))
             assert dense[idx] == pytest.approx(expected, abs=1e-8)
+
+    def test_inv_linear_train_guards_its_raw_carriages(self, monkeypatch):
+        # the raw carriages are checked against the library default, lowered
+        # here so that the largest one, 79 * 40 * 118 entries, is above it
+        monkeypatch.setattr(fracsum.problems, "DEFAULT_MEMORY_CAP", 100000)
+        with pytest.raises(MemoryCapError, match="inv_linear train needs 372880 entries, cap is 100000"):
+            sample_rhs(RhsSpec(kind="inv_linear", d=4), [Grid1D(40)] * 4, memory_cap=100000)
+        assert isinstance(sample_rhs(RhsSpec(kind="inv_linear", d=4), [Grid1D(20)] * 4, memory_cap=100000), TTTensor)
 
     def test_custom_kind(self):
         grids = [Grid1D(4), Grid1D(5)]
