@@ -23,8 +23,9 @@ factor carries the scaled weights ``lambda_min**(-alpha) * w_j``; the exact
 reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)``.  A
 path supplies only its entrywise product with ``F``: dense tensors multiply
 ``F`` densified; CP and Tucker factors are scaled term by term along their mode
-index by the factors of ``F`` (Tucker re-orthogonalizes the stack by QR);
-tensor trains are multiplied by ``F`` written as a compressed train, which
+index by the factors of ``F`` (Tucker orthogonalizes a stack by QR only where
+it has more rows than columns, and otherwise keeps the eigenbasis); tensor
+trains are multiplied by ``F`` written as a compressed train, which
 ``_tt_filter`` keeps for the next solve with the same operator, sum and budget.
 
 Around those steps every solve path runs one protocol, written once in
@@ -32,10 +33,12 @@ Around those steps every solve path runs one protocol, written once in
 clock starts after the eigendecompositions, which run once per operator, so
 ``wall_time`` excludes them and includes everything in the steps, such as
 building the train path's filter.  ``error_bound`` is
-``lambda_min**(-alpha) * certified_bound(es) * ||c||_F`` plus a path's
-allowance times ``||c||_F`` (only the train path has one, for recompression).
-It takes the eigendecompositions as exact: their backward error,
-``O(u*||A_i||)`` per factor for the unit roundoff ``u``, is outside the bound.
+``lambda_min**(-alpha) * (certified_bound(es) + sqrt(tiny) * sum(w)) * ||c||_F``
+plus a path's allowance times ``||c||_F`` (only the train path has one, for
+recompression); the ``sqrt(tiny)`` term covers the filter entries that
+``_sum_filter`` drops.  It takes the eigendecompositions as exact: their
+backward error, ``O(u*||A_i||)`` per factor for the unit roundoff ``u``, is
+outside the bound.
 Non-finite input fails with a ``ValueError``: factors at construction, and a
 right-hand side whose norm is not finite at the start of a solve.
 """
@@ -43,6 +46,7 @@ right-hand side whose norm is not finite at the start of a solve.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -172,11 +176,19 @@ def _finite_norm(cnorm: float) -> None:
 def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
     """The filter ``lambda_min**(-alpha) * sum_j w_j * outer_i exp(-t_j * Lambda_i / lambda_min)``.
 
-    Factor ``i`` is the ``n_i x N`` matrix ``exp(-t_j * Lambda_i / lambda_min)``;
-    the mode-0 factor also carries the scaled weights ``lambda_min**(-alpha) * w_j``.
+    Factor ``i`` is the ``n_i x N`` matrix ``exp(-t_j * Lambda_i / lambda_min)``
+    with its entries below ``sqrt(tiny)`` (exponents above ``-log(tiny)/2``,
+    about 354) set to 0, so that no product of two kept entries is
+    subnormal; the mode-0 factor also carries the scaled weights
+    ``lambda_min**(-alpha) * w_j``.  Every factor entry is at most 1, so a
+    term with a dropped entry is below ``w_j * sqrt(tiny)`` at every lattice
+    point: the filter moves by at most ``lambda_min**(-alpha) * sqrt(tiny) *
+    sum(w)`` entrywise, which ``_solve`` adds to ``error_bound``.
     """
     lam_min = ks.lambda_min
     factors = [np.exp(-np.outer(lam / lam_min, es.exponents)) for lam, _ in ks.spectra]
+    for f in factors:
+        f[f < math.sqrt(np.finfo(float).tiny)] = 0.0
     factors[0] = factors[0] * (_scale(ks, es) * es.weights)
     return CPTensor(tuple(factors))
 
@@ -222,9 +234,11 @@ def _solve(ks: KroneckerSum, es: ExpSum, c, step, allowance: float = 0.0):
     c, cnorm = _normed(c)
     _finite_norm(cnorm)
     x = _in_eigenbasis(ks, c, step)
+    # the most the entries that _sum_filter drops move the filter, before lambda_min**(-alpha)
+    dropped = math.sqrt(np.finfo(float).tiny) * float(np.sum(es.weights))
     return x, SolveReport(
         n_terms=es.n_terms,
-        error_bound=_scale(ks, es) * certified_bound(es) * cnorm + allowance * cnorm,
+        error_bound=_scale(ks, es) * certified_bound(es) * cnorm + _scale(ks, es) * dropped * cnorm + allowance * cnorm,
         wall_time=time.perf_counter() - start,
         ranks=(x.rank,) if isinstance(x, CPTensor) else getattr(x, "ranks", ()),
         lambda_min=ks.lambda_min,
@@ -239,6 +253,18 @@ def _eigenvalue_sums(ks: KroneckerSum) -> np.ndarray:
 def _face_split_factors(filt: CPTensor, factors) -> list:
     """Per mode, ``[E_i1 U_i ... E_iN U_i]``, ``E_ij`` the diagonal of column ``j`` of the filter's factor ``i``."""
     return [(f[:, :, None] * u[:, None, :]).reshape(len(f), -1) for f, u in zip(filt.factors, factors)]
+
+
+def _block_khatri_rao(blocks, n_terms: int) -> np.ndarray:
+    """Per term ``j``, the Kronecker product of the blocks ``b[:, j, :]``, as ``(prod rows, n_terms, prod columns)``.
+
+    Rows and columns run over the blocks in C order, the last block's index
+    fastest; no block gives ones of shape ``(1, n_terms, 1)``.
+    """
+    out = np.ones((1, n_terms, 1))
+    for b in blocks:
+        out = (out[:, None, :, :, None] * b[None, :, :, None, :]).reshape(len(out) * len(b), n_terms, -1)
+    return out
 
 
 def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -276,33 +302,58 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
 def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     """Inverse fractional power of a Tucker right-hand side.
 
-    In the eigenbasis the stacked per-term factors are re-orthogonalized by
-    QR, and only the orthonormal bases are rotated back, so the result is a
-    valid Tucker tensor with multilinear ranks at most
-    ``min(n_terms * rank_i, n_i)``.
+    In the eigenbasis mode ``i`` holds the stack ``[E_i1 U_i ... E_iN U_i]``
+    of ``n_terms * r_i`` columns.  A wide stack (``n_i <= n_terms * r_i``)
+    spans its whole mode, so its basis is the identity and its blocks
+    ``R_ij`` are the stack itself; only a tall stack is orthogonalized by QR.
+    Only the bases are rotated back, so the result is a valid Tucker tensor
+    with multilinear ranks ``min(n_terms * r_i, n_i)``, the factor of a wide
+    mode being the eigenvectors ``Q_i``.
 
-    The new core ``sum_j C x_1 R_1j ... x_d R_dj`` (``R_ij``: blocks of the
-    triangular factors; the scaled weights sit in the mode-0 blocks) is
-    contracted ``r'_d // r_d`` terms at a time, so no intermediate exceeds
-    the core: modes 1..d-1 by products batched over the terms, the last by
-    one product that also sums them.
+    The new core ``sum_j C x_1 R_1j ... x_d R_dj`` (the scaled weights sit in
+    the mode-0 blocks) is formed as :meth:`CPTensor.to_dense` densifies: the
+    block Khatri-Rao products of the leading ``h = d // 2`` and the trailing
+    modes, the leading one contracted with ``C``, meet in one matrix product
+    that also sums the terms.  Terms are taken in chunks so that no operand
+    has more than ``n_terms * prod(ranks[h:])`` entries, one chunk for a
+    rank-one core.  When every stack is wide, ``R_ij = E_ij U_i`` and the
+    core is the densified filter times ``C x_1 U_1 ... x_d U_d``; a core that
+    is not rank one is formed that way, because the Khatri-Rao route would
+    repeat the filter's product once per core column.  Raises
+    :class:`MemoryCapError` before any of this when the core, or an operand
+    of a chunk, has more than ``DEFAULT_MEMORY_CAP`` entries.
     """
     def combine(y: TuckerTensor) -> TuckerTensor:
-        qs, r_blocks = zip(*(np.linalg.qr(b) for b in _face_split_factors(_sum_filter(ks, es), y.factors)))
+        filt = _sum_filter(ks, es)
+        ranks = tuple(min(n, es.n_terms * r) for n, r in zip(y.shape, y.ranks))
+        _check_memory(math.prod(ranks), DEFAULT_MEMORY_CAP, "Tucker core")
+        if ranks == y.shape and math.prod(y.ranks) > 1:
+            # every stack is wide: the core is F * (C x_i U_i), which the Khatri-Rao route
+            # below would repeat once per column of a core that is not rank one
+            core = filt.to_dense() * multi_mode_product(y.core, y.factors)
+            return TuckerTensor(core=core, factors=tuple(np.eye(n) for n in ranks))
+        stacks = _face_split_factors(filt, y.factors)
+        h = len(ranks) // 2
+        # per term: the lead operand is rows[0] x cols[0], its product with C rows[0] x cols[1],
+        # the trailing operand rows[1] x cols[1]
+        rows = (math.prod(ranks[:h]), math.prod(ranks[h:]))
+        cols = (math.prod(y.ranks[:h]), math.prod(y.ranks[h:]))
+        per_term = max(rows[0] * cols[0], rows[0] * cols[1], rows[1] * cols[1])
+        chunk = min(es.n_terms, max(1, es.n_terms * rows[1] // per_term))
+        _check_memory(chunk * per_term, DEFAULT_MEMORY_CAP, "Tucker core")
+        qs, r_blocks = zip(*((np.eye(len(b)), b) if len(b) <= b.shape[1] else np.linalg.qr(b) for b in stacks))
         # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
         r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
-        ranks = tuple(len(b) for b in r_blocks)
-        chunk = max(1, ranks[-1] // y.ranks[-1])
-        core = np.zeros((np.prod(ranks[:-1], dtype=int), ranks[-1]))
-        for lo in range(0, es.n_terms, chunk):
+        c_mat = y.core.reshape(cols)
+
+        def chunk_core(lo):
             terms = slice(lo, min(lo + chunk, es.n_terms))
-            x = np.broadcast_to(y.core, (terms.stop - lo,) + y.core.shape)
-            for b in r_blocks[:-1]:
-                # contract axis 1 with each term's block; its new index becomes the last axis
-                m = np.matmul(x.reshape(*x.shape[:2], -1).transpose(0, 2, 1), b[:, terms].transpose(1, 2, 0))
-                x = m.reshape(x.shape[:1] + x.shape[2:] + (len(b),))
-            last = r_blocks[-1][:, terms].transpose(1, 2, 0).reshape(-1, ranks[-1])
-            core += x.reshape(len(last), -1).T @ last
+            k_lead = _block_khatri_rao([b[:, terms] for b in r_blocks[:h]], terms.stop - lo)
+            k_trail = _block_khatri_rao([b[:, terms] for b in r_blocks[h:]], terms.stop - lo)
+            m = (k_lead.reshape(-1, cols[0]) @ c_mat).reshape(rows[0], -1)
+            return m @ k_trail.reshape(rows[1], -1).T
+
+        core = reduce(operator.iadd, map(chunk_core, range(0, es.n_terms, chunk)))
         return TuckerTensor(core=core.reshape(ranks), factors=qs)
 
     return _solve(ks, es, c, combine)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,42 @@ class TestSumFilter:
         assert np.linalg.norm(f.to_dense() - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+class TestDroppedFilterEntries:
+    """At d = 4, n = 16, N = 200, 1.7% of the filter's exponential factor entries are below ``sqrt(tiny)``."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ks = KroneckerSum([laplacian_1d(16)] * 4)
+        es = build_expsum(params_for_terms(0.5, 200))
+        rhs = sample_rhs(RhsSpec(kind="random_rank1", d=4, seed=5), [Grid1D(16)] * 4)
+        return ks, es, rhs
+
+    def test_no_factor_entry_below_the_floor_is_kept(self, setup):
+        ks, es, _ = setup
+        f = _sum_filter(ks, es)
+        # the mode-0 factor carries the scaled weights; take them out
+        exps = [f.factors[0] / (ks.lambda_min**-0.5 * es.weights)] + list(f.factors[1:])
+        floor = np.sqrt(np.finfo(float).tiny)
+        assert not any(np.any((e > 0.0) & (e < floor)) for e in exps)
+        dropped = sum(int(np.sum(e == 0.0)) for e in exps) / sum(e.size for e in exps)
+        assert 0.01 < dropped < 0.03
+
+    @pytest.mark.parametrize("fmt", ["dense", "cp", "tucker", "tt"])
+    def test_solves_stay_within_the_bound(self, setup, fmt):
+        ks, es, rhs = setup
+        dense = rhs.to_dense()
+        if fmt == "dense":
+            x, report = solve_dense(ks, dense, es)
+        elif fmt == "cp":
+            x, report = solve_cp(ks, rhs, es)
+        elif fmt == "tucker":
+            x, report = solve_tucker(ks, hosvd(dense, tol=1e-14), es)
+        else:
+            x, report = solve_tt(ks, tt_svd(dense, tol=0.0), es)
+        x = x if isinstance(x, np.ndarray) else x.to_dense()
+        assert np.linalg.norm(x - oracle_apply(ks, dense, 0.5)) <= report.error_bound
+
+
 class TestWallTime:
     @pytest.mark.parametrize("fmt", ["dense", "cp", "tucker", "tt"])
     def test_excludes_the_eigendecomposition(self, fmt, monkeypatch):
@@ -218,8 +255,8 @@ class TestRawFormula:
         # The reference never diagonalizes: each term is a Taylor matrix
         # exponential of the assembled Kronecker sum, so a shared defect in
         # the eigenbasis kernel of the solvers and the oracle shows here.
-        # Tucker runs at full ranks, so its chunked core contraction sees
-        # every mode in d = 2, 3 and 4.
+        # Tucker runs at full ranks, so every stack is wide and the core is
+        # the densified filter times the rotated core in d = 2, 3 and 4.
         rng = np.random.default_rng(21)
         factors = [random_spd(rng, n) for n in sizes]
         ks = KroneckerSum(factors)
@@ -260,6 +297,46 @@ class TestSolveTucker:
         x, _ = solve_tucker(ks, c, es)
         x_dense, _ = solve_dense(ks, c_dense, es)
         assert np.linalg.norm(x.to_dense() - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
+
+
+    @pytest.mark.parametrize(
+        "shape, ranks",
+        [((7,), (3,)), ((7,), (2,)), ((6, 10), (2, 3)), ((2, 3, 3), (1, 1, 1)), ((9, 12, 7, 5), (2, 3, 1, 2))],
+        ids=["d1-wide", "d1-tall", "d2-wide-tall", "d3-wide-rank-one", "d4-mixed"],
+    )
+    def test_wide_and_tall_stacks_match_dense_solve(self, shape, ranks):
+        # with 3 terms a stack has 3*r_i columns: modes with n_i <= 3*r_i keep
+        # the identity basis, the others are orthogonalized by QR; all but
+        # d1-wide form the core by Khatri-Rao products, d1-tall, d2 and d4 in
+        # several chunks of terms
+        rng = np.random.default_rng(23)
+        ks = KroneckerSum([random_spd(rng, n) for n in shape])
+        es = build_expsum(params_for_terms(0.5, 3))
+        assert es.n_terms == 3
+        factors = tuple(np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip(shape, ranks))
+        c = TuckerTensor(core=rng.standard_normal(ranks), factors=factors)
+        x, report = solve_tucker(ks, c, es)
+        assert x.ranks == report.ranks == tuple(min(n, 3 * r) for n, r in zip(shape, ranks))
+        x_dense, _ = solve_dense(ks, c.to_dense(), es)
+        assert np.linalg.norm(x.to_dense() - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+
+    def test_core_above_the_cap_raises_before_it_is_formed(self):
+        # n = 520, ranks 3, N = 200: every stack is 520 x 600, so the ranks
+        # are (520, 520, 520) and the core would have 1.41e8 > 2**27 entries
+        rng = np.random.default_rng(24)
+        ks = KroneckerSum([laplacian_1d(520)] * 3)
+        ks.spectra
+        es = build_expsum(params_for_terms(0.5, 200))
+        factors = tuple(np.linalg.qr(rng.standard_normal((520, 3)))[0] for _ in range(3))
+        c = TuckerTensor(core=rng.standard_normal((3, 3, 3)), factors=factors)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryCapError, match="Tucker core needs 140608000 entries"):
+                solve_tucker(ks, c, es)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestSolveTT:
