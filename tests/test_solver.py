@@ -298,7 +298,6 @@ class TestSolveTucker:
         x_dense, _ = solve_dense(ks, c_dense, es)
         assert np.linalg.norm(x.to_dense() - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
-
     @pytest.mark.parametrize(
         "shape, ranks",
         [((7,), (3,)), ((7,), (2,)), ((6, 10), (2, 3)), ((2, 3, 3), (1, 1, 1)), ((9, 12, 7, 5), (2, 3, 1, 2))],
