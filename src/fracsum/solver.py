@@ -18,21 +18,25 @@ takes every format.  For the sum the filter is the rank-N CP tensor
 
     F = lambda_min**(-alpha) * sum_j w_j * outer_i exp(-t_j * Lambda_i / lambda_min),
 
-built once per solve as a :class:`fracsum.tensors.CPTensor` whose mode-0
-factor carries the scaled weights ``lambda_min**(-alpha) * w_j``; the exact
-reference :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)``.  A
-path supplies only its entrywise product with ``F``: dense tensors multiply
-``F`` densified; CP and Tucker factors are scaled term by term along their mode
-index by the factors of ``F`` (Tucker orthogonalizes a stack by QR only where
-it has more rows than columns, and otherwise keeps the eigenbasis); tensor
-trains are multiplied by ``F`` written as a compressed train, which
-``_tt_filter`` keeps for the next solve with the same operator, sum and budget.
+a :class:`fracsum.tensors.CPTensor` whose mode-0 factor carries the scaled
+weights ``lambda_min**(-alpha) * w_j``; the exact reference
+:func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)``.  ``F`` depends
+only on the operator and the sum, so each operator keeps its filters in a
+:class:`_FilterStore`: the factors of ``F`` are built the first time the
+operator meets the sum, and each form derived from them the first time a
+path asks for it.  A path supplies only its entrywise product with ``F``:
+dense tensors multiply ``F`` densified; CP and Tucker factors are scaled term
+by term along their mode index by the factors of ``F`` (Tucker orthogonalizes
+a stack by QR only where it has more rows than columns, and otherwise keeps
+the eigenbasis); tensor trains are multiplied by ``F`` written as a
+compressed train for a budget.
 
 Around those steps every solve path runs one protocol, written once in
 ``_solve``, and adds only its own input checks and its entrywise step.  The
 clock starts after the eigendecompositions, which run once per operator, so
 ``wall_time`` excludes them and includes everything in the steps, such as
-building the train path's filter.  ``error_bound`` is
+building a filter the first time the operator meets that sum and form.
+``error_bound`` is
 ``lambda_min**(-alpha) * (certified_bound(es) + sqrt(tiny) * sum(w)) * ||c||_F``
 plus a path's allowance times ``||c||_F`` (only the train path has one, for
 recompression); the ``sqrt(tiny)`` term covers the filter entries that
@@ -47,9 +51,10 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -89,7 +94,8 @@ class KroneckerSum:
     on first use, shared by every solve, and positive definiteness is checked
     at that point.  Finite entries and symmetry are checked eagerly at
     construction.  The factors, eigenvalues and eigenvectors are read-only
-    copies, so an operator never changes after it is built.
+    copies, so an operator never changes after it is built.  The filters of
+    the sums applied to it are kept in its private :class:`_FilterStore`.
     """
 
     def __init__(self, factors):
@@ -105,6 +111,7 @@ class KroneckerSum:
                 raise ValueError(f"factor {i} is not symmetric")
             a.flags.writeable = False
         self._factors = factors
+        self._filters = _FilterStore()
 
     @property
     def factors(self) -> tuple:
@@ -190,20 +197,71 @@ def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
     for f in factors:
         f[f < math.sqrt(np.finfo(float).tiny)] = 0.0
     factors[0] = factors[0] * (_scale(ks, es) * es.weights)
+    for f in factors:
+        f.flags.writeable = False
     return CPTensor(tuple(factors))
 
 
-@lru_cache(maxsize=1)
-def _tt_filter(ks: KroneckerSum, es: ExpSum, budget: float) -> TTTensor:
-    """The filter of ``es`` as a train within ``budget`` of it, kept for the next call with the same arguments.
+# guards the bookkeeping of every _FilterStore; no filter is built under it
+_STORE_LOCK = threading.Lock()
 
-    The one entry is keyed on the operator (by identity), the sum (by value,
-    so equal sums share the train) and the budget; it keeps the operator
-    alive next to its train.  As output of ``tensors._sweep_round`` the train
-    is left-orthogonal, as the product rounding requires, and no QR sweep
-    ever runs on it.
+
+class _FilterStore:
+    """The filters of one operator, per sum, each built the first time a solve asks for it.
+
+    Sums hash by their parameters, so equal sums share their filters.  The
+    factors :func:`_sum_filter` builds are kept for every sum met,
+    ``sum(n_i) * N`` entries each.  The forms derived from them, the dense
+    filter and the train for a budget, are kept oldest first: keeping a
+    form of ``m`` entries drops the oldest forms until the kept ones hold at
+    most ``cap - m``, ``cap`` being the memory cap of the solve that built
+    it, and a form above ``cap`` is not kept.  Every kept array is
+    read-only.  The store holds no reference to its operator, so it is
+    freed with it.  Threads may share it: two that miss the same form both
+    build it, and either copy is the same filter.
     """
-    return _cp_to_tt(_sum_filter(ks, es).factors, budget)
+
+    def __init__(self):
+        self._factors = {}  # sum -> CPTensor
+        self._forms = {}  # (sum, None) -> dense, (sum, budget) -> train; as (form, entries), oldest first
+
+    def held(self) -> int:
+        """Entries of the kept dense and train forms; read it under ``_STORE_LOCK`` where threads share the store."""
+        return sum(entries for _, entries in self._forms.values())
+
+    def factors(self, ks: KroneckerSum, es: ExpSum) -> CPTensor:
+        filt = self._factors.get(es)
+        if filt is None:
+            filt = self._factors[es] = _sum_filter(ks, es)
+        return filt
+
+    def dense(self, ks: KroneckerSum, es: ExpSum, memory_cap: int) -> np.ndarray:
+        """The densified filter; its Khatri-Rao operands get at least the default cap."""
+        cap = max(memory_cap, DEFAULT_MEMORY_CAP)
+        return self._form((es, None), memory_cap, lambda: self.factors(ks, es).to_dense(cap))
+
+    def train(self, ks: KroneckerSum, es: ExpSum, budget: float) -> TTTensor:
+        """The filter as a train within ``budget`` of it, left-orthogonal as ``tensors._sweep_round`` leaves it."""
+        return self._form((es, budget), DEFAULT_MEMORY_CAP, lambda: _cp_to_tt(self.factors(ks, es).factors, budget))
+
+    def _form(self, key, cap: int, build):
+        kept = self._forms.get(key)
+        if kept is not None:
+            return kept[0]
+        form = build()
+        arrays = getattr(form, "carriages", (form,))
+        for a in arrays:
+            a.flags.writeable = False
+        entries = sum(a.size for a in arrays)
+        if entries <= cap:
+            with _STORE_LOCK:
+                held = self.held()
+                for old in list(self._forms):  # oldest first
+                    if held + entries <= cap:
+                        break
+                    held -= self._forms.pop(old)[1]
+                self._forms[key] = (form, entries)
+        return form
 
 
 def _in_eigenbasis(ks: KroneckerSum, c, step):
@@ -270,17 +328,18 @@ def _block_khatri_rao(blocks, n_terms: int) -> np.ndarray:
 def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = DEFAULT_MEMORY_CAP):
     """Approximate the inverse fractional power applied to a dense tensor.
 
-    The filter of the sum is densified once on the eigenvalue lattice and
-    applied between one rotation into the joint eigenbasis and one rotation
-    back.  Raises :class:`MemoryCapError` before the filter is formed when
-    ``c`` has more than ``memory_cap`` entries.
+    The filter of the sum, densified on the eigenvalue lattice, is applied
+    between one rotation into the joint eigenbasis and one rotation back.
+    The operator keeps the densified filter for the next solve with an equal
+    sum, counting it against ``memory_cap``.  Raises :class:`MemoryCapError`
+    before the filter is formed when ``c`` has more than ``memory_cap``
+    entries.
     """
     c = np.asarray(c, dtype=float)
     _check_memory(c.size, memory_cap, "dense solve")
 
     def step(y):
-        # memory_cap bounds c; the filter's Khatri-Rao operands get at least the default cap
-        return _sum_filter(ks, es).to_dense(max(memory_cap, DEFAULT_MEMORY_CAP)) * y
+        return ks._filters.dense(ks, es, memory_cap) * y
 
     return _solve(ks, es, c, step)
 
@@ -294,7 +353,7 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     recompression is attempted in this format).
     """
     def step(y):
-        return CPTensor(tuple(_face_split_factors(_sum_filter(ks, es), y.factors)))
+        return CPTensor(tuple(_face_split_factors(ks._filters.factors(ks, es), y.factors)))
 
     return _solve(ks, es, c, step)
 
@@ -324,15 +383,14 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     of a chunk, has more than ``DEFAULT_MEMORY_CAP`` entries.
     """
     def combine(y: TuckerTensor) -> TuckerTensor:
-        filt = _sum_filter(ks, es)
         ranks = tuple(min(n, es.n_terms * r) for n, r in zip(y.shape, y.ranks))
         _check_memory(math.prod(ranks), DEFAULT_MEMORY_CAP, "Tucker core")
         if ranks == y.shape and math.prod(y.ranks) > 1:
             # every stack is wide: the core is F * (C x_i U_i), which the Khatri-Rao route
             # below would repeat once per column of a core that is not rank one
-            core = filt.to_dense() * multi_mode_product(y.core, y.factors)
+            core = ks._filters.dense(ks, es, DEFAULT_MEMORY_CAP) * multi_mode_product(y.core, y.factors)
             return TuckerTensor(core=core, factors=tuple(np.eye(n) for n in ranks))
-        stacks = _face_split_factors(filt, y.factors)
+        stacks = _face_split_factors(ks._filters.factors(ks, es), y.factors)
         h = len(ranks) // 2
         # per term: the lead operand is rows[0] x cols[0], its product with C rows[0] x cols[1],
         # the trailing operand rows[1] x cols[1]
@@ -389,7 +447,9 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     rounding, is outside ``error_bound``.
 
     ``F_delta`` depends only on the operator, the sum and ``round_tol``, never
-    on ``c``; ``_tt_filter`` keeps the last one built in the process.
+    on ``c``; it is built the first time the operator meets that sum and
+    ``round_tol``, and the operator's :class:`_FilterStore` keeps it, within
+    ``DEFAULT_MEMORY_CAP`` entries, for the next solve.
     """
     _check_nonnegative(round_tol, "round_tol")
 
@@ -397,7 +457,7 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
 
     def step(y):
         # the filter's budget; relative to ||c~||, the product's
-        return _tt_hadamard_round(_tt_filter(ks, es, half), y, half)
+        return _tt_hadamard_round(ks._filters.train(ks, es, half), y, half)
 
     return _solve(ks, es, c, step, allowance=(es.n_terms - 1) * round_tol)
 
@@ -410,6 +470,14 @@ def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int 
     finite ``alpha >= 0`` is accepted here (``alpha = 1`` solves the classical
     problem, ``alpha = 0`` is the identity), which makes this the reference
     for every solve path.
+
+    It shares the eigendecomposition ``ks.spectra`` with every solve path,
+    so a test or benchmark gate that compares a solve with it cannot see
+    ``eigh``'s backward error, which ``error_bound`` leaves out.  That error
+    is not always small against the bound: for ``laplacian_1d(512)`` at
+    ``d = 2`` and a 300-term ``best_expsum`` sum, the error against the exact
+    solution from the closed-form eigenpairs is 1.29 times ``error_bound``,
+    while against this oracle it reads well below it.
     """
     c = np.asarray(c, dtype=float)
     ks._check_shape(c.shape)

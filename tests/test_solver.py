@@ -1,8 +1,11 @@
 """Kronecker-sum solver: format paths, oracle and bounds."""
 
 import dataclasses
+import sys
 import time
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -63,12 +66,14 @@ class TestKroneckerSum:
         c = rng.standard_normal(ks.shape)
         np.testing.assert_allclose(vec(ks.apply(c)), kron_sum_matrix(factors) @ vec(c), atol=1e-12)
 
-    def test_a_solve_leaves_only_the_factors_and_their_spectra(self):
+    def test_a_solve_leaves_the_factors_their_spectra_and_the_filter_store(self):
         rng = np.random.default_rng(3)
         ks = KroneckerSum([random_spd(rng, n) for n in (4, 5, 3)])
         solve_tt(ks, tt_svd(rng.standard_normal(ks.shape), tol=0.0), make_es(), round_tol=1e-10)
-        assert set(vars(ks)) == {"_factors", "spectra"}
-        assert solver._tt_filter.cache_info().maxsize == 1
+        assert set(vars(ks)) == {"_factors", "spectra", "_filters"}
+        # the store holds the train within the cap of solve_tt, which takes none
+        assert 0 < ks._filters.held() <= tensors.DEFAULT_MEMORY_CAP
+        assert not any(callable(getattr(f, "cache_info", None)) for f in vars(solver).values())
 
     def test_factors_and_spectra_are_read_only(self):
         rng = np.random.default_rng(2)
@@ -416,7 +421,7 @@ def _same_tt_solve(got, want) -> bool:
 
 
 class TestTTFilterMemo:
-    """``solve_tt`` builds the filter train once per operator, sum and budget, keeping one train per process."""
+    """``solve_tt`` builds the filter train once per operator, sum and budget, in the operator's filter store."""
 
     @pytest.fixture
     def setup(self, monkeypatch):
@@ -448,12 +453,14 @@ class TestTTFilterMemo:
         ks = KroneckerSum(factors)
         es1, es2 = (build_expsum(params_for_terms(0.5, n)) for n in (30, 50))
         steps = [(es1, 1e-10), (es2, 1e-10), (es1, 1e-10), (es1, 1e-6), (es1, 1e-6), (es2, 1e-6), (es1, 1e-10)]
-        rebuilds, last, got = 0, (None, None), []
+        seen, got = set(), []
         for es, round_tol in steps:
-            rebuilds += last[0] is not es or last[1] != round_tol
-            last = (es, round_tol)
+            # the store keeps every train: only a sum and threshold not met before builds one
+            seen.add((es, round_tol))
             got.append(solve_tt(ks, c, es, round_tol=round_tol))
-            assert len(calls) == rebuilds
+            assert len(calls) == len(seen)
+        rebuilds = len(seen)
+        assert rebuilds == 4
         # a fresh operator is another key, so each of these solves builds its own train
         for (es, round_tol), x in zip(steps, got):
             assert _same_tt_solve(x, solve_tt(KroneckerSum(factors), c, es, round_tol=round_tol))
@@ -504,7 +511,7 @@ class TestTTFilterMemo:
         for round_tol in (0.0, 1e-10, 1e-10):
             solve_tt(ks, c, es, round_tol=round_tol)
         filters = [a for a, _ in received]
-        assert filters[0] is not filters[1] is filters[2] is solver._tt_filter(ks, es, (es.n_terms - 1) * 1e-10 / 2)
+        assert filters[0] is not filters[1] is filters[2] is ks._filters.train(ks, es, (es.n_terms - 1) * 1e-10 / 2)
         for pair in received:
             for train in pair:
                 for core in _as_cores(train)[:-1]:
@@ -527,7 +534,7 @@ class TestTTFilterMemo:
         swept.clear()
         solve_tt(ks, c, es, round_tol=1e-10)
         # only the sweep that gives the norm of c
-        assert solver._tt_filter(ks, es, (es.n_terms - 1) * 1e-10 / 2).ranks != c.ranks
+        assert ks._filters.train(ks, es, (es.n_terms - 1) * 1e-10 / 2).ranks != c.ranks
         assert swept == [c.ranks]
 
     def test_a_right_hand_side_is_swept_once(self, setup, monkeypatch):
@@ -544,6 +551,142 @@ class TestTTFilterMemo:
         solve_tt(KroneckerSum(factors), c, build_expsum(params_for_terms(0.5, 40)), round_tol=1e-10)
         # the sweep that gives ||c|| also makes c left-orthogonal for the product
         assert swept == [c.ranks]
+
+
+def _same_solve(got, want) -> bool:
+    """Whether two dense, CP or Tucker solve results are bit-identical, reports included, ``wall_time`` aside."""
+    (x, report), (y, ref) = got, want
+
+    def arrays(z):
+        return [z] if isinstance(z, np.ndarray) else [*z.factors, *([z.core] if isinstance(z, TuckerTensor) else [])]
+
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(arrays(x), arrays(y))) and (
+        dataclasses.replace(report, wall_time=0.0) == dataclasses.replace(ref, wall_time=0.0)
+    )
+
+
+class TestFilterStore:
+    """Each operator keeps the filters of the sums applied to it: the factors always, the dense and train forms within the cap."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Calls of the filter's builder and of CP densification, by name."""
+        calls = {"build": 0, "densify": 0}
+        sum_filter, to_dense = solver._sum_filter, CPTensor.to_dense
+
+        def build(*args):
+            calls["build"] += 1
+            return sum_filter(*args)
+
+        def densify(self, *args):
+            calls["densify"] += 1
+            return to_dense(self, *args)
+
+        monkeypatch.setattr(solver, "_sum_filter", build)
+        monkeypatch.setattr(CPTensor, "to_dense", densify)
+        return calls
+
+    @staticmethod
+    def _factors(seed=25, sizes=(8, 8, 8)):
+        rng = np.random.default_rng(seed)
+        return [random_spd(rng, n) for n in sizes]
+
+    def test_repeated_dense_solves_build_and_densify_the_filter_once(self, counted):
+        factors = self._factors()
+        ks = KroneckerSum(factors)
+        es = build_expsum(params_for_terms(0.5, 40))
+        c = np.random.default_rng(26).standard_normal(ks.shape)
+        got = [solve_dense(ks, c, es) for _ in range(3)]
+        assert counted == {"build": 1, "densify": 1}
+        fresh = solve_dense(KroneckerSum(factors), c, es)
+        assert all(_same_solve(x, fresh) for x in got)
+
+    def test_cp_then_tucker_build_the_factors_once(self, counted):
+        # the pattern of a lowrank-3d request: one rank-one right-hand side, both factored paths
+        factors = self._factors(sizes=(6, 5, 4))
+        ks = KroneckerSum(factors)
+        es = build_expsum(params_for_terms(0.5, 30))
+        rng = np.random.default_rng(27)
+        vs = [rng.standard_normal(n) for n in ks.shape]
+        cp = CPTensor.from_rank1(vs)
+        norms = [np.linalg.norm(v) for v in vs]
+        tucker = TuckerTensor(core=np.full((1, 1, 1), np.prod(norms)), factors=tuple((v / r)[:, None] for v, r in zip(vs, norms)))
+        x_cp, x_tucker = solve_cp(ks, cp, es), solve_tucker(ks, tucker, es)
+        assert counted["build"] == 1
+        assert _same_solve(x_cp, solve_cp(KroneckerSum(factors), cp, es))
+        assert _same_solve(x_tucker, solve_tucker(KroneckerSum(factors), tucker, es))
+
+    def test_a_cap_of_two_dense_forms_drops_the_oldest(self, counted):
+        factors = self._factors()
+        ks = KroneckerSum(factors)
+        sums = [build_expsum(params_for_terms(0.5, n)) for n in (10, 20, 30)]
+        c = np.random.default_rng(28).standard_normal(ks.shape)
+        cap = 2 * c.size
+        order = sums + sums[:2] + sums[1:2]
+        got, densified = [], []
+        for es in order:
+            before = counted["densify"]
+            got.append(solve_dense(ks, c, es, memory_cap=cap))
+            densified.append(counted["densify"] - before)
+            assert ks._filters.held() <= cap
+        # sum 2 drops sum 0, which drops sum 1 when it comes back; sum 1 back drops sum 2 and is then kept
+        assert densified == [1, 1, 1, 1, 1, 0]
+        assert [key[0] for key in ks._filters._forms] == sums[:2]
+        assert counted["build"] == 3
+        for es, x in zip(order, got):
+            assert _same_solve(x, solve_dense(KroneckerSum(factors), c, es, memory_cap=cap))
+
+    def test_a_form_above_the_cap_is_not_kept(self):
+        ks = KroneckerSum(self._factors())
+        c = np.random.default_rng(29).standard_normal(ks.shape)
+        es = build_expsum(params_for_terms(0.5, 10))
+        solve_dense(ks, c, es)
+        solve_tt(ks, tt_svd(c, tol=0.0), es, round_tol=1e-10)
+        assert len(ks._filters._forms) == 2
+        # only the dense form fits this cap, so keeping it drops the train
+        solve_dense(ks, c, build_expsum(params_for_terms(0.5, 20)), memory_cap=c.size)
+        assert ks._filters.held() == c.size
+
+    def test_kept_arrays_are_read_only(self):
+        ks = KroneckerSum(self._factors())
+        es = build_expsum(params_for_terms(0.5, 10))
+        c = np.random.default_rng(30).standard_normal(ks.shape)
+        solve_dense(ks, c, es)
+        solve_tt(ks, tt_svd(c, tol=0.0), es, round_tol=1e-10)
+        kept = list(ks._filters.factors(ks, es).factors)
+        for form, _ in ks._filters._forms.values():
+            kept += getattr(form, "carriages", [form])
+        assert len(kept) == 3 + 1 + 3
+        for a in kept:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_a_kept_train_dies_with_its_operator(self):
+        ks = KroneckerSum(self._factors())
+        es = build_expsum(params_for_terms(0.5, 10))
+        solve_tt(ks, tt_svd(np.ones(ks.shape), tol=0.0), es, round_tol=1e-10)
+        kept = weakref.ref(ks._filters.train(ks, es, (es.n_terms - 1) * 1e-10 / 2))
+        assert kept() is not None
+        del ks
+        assert kept() is None
+
+    def test_threads_sharing_a_store_keep_it_within_the_cap(self):
+        factors = self._factors()
+        ks = KroneckerSum(factors)
+        sums = [build_expsum(params_for_terms(0.5, n)) for n in (10, 20, 30)]
+        c = np.random.default_rng(31).standard_normal(ks.shape)
+        cap = 2 * c.size
+        want = {es: solve_dense(KroneckerSum(factors), c, es, memory_cap=cap) for es in sums}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(solve_dense, ks, c, sums[i % 3], cap) for i in range(60)]
+                got = [(f.result(timeout=60), sums[i % 3]) for i, f in enumerate(futures)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(_same_solve(x, want[es]) for x, es in got)
+        assert ks._filters.held() <= cap
 
 
 def not_left_orthogonal(c: TTTensor) -> TTTensor:
