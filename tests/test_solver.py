@@ -636,7 +636,7 @@ class TestFilterStore:
         for es, x in zip(order, got):
             assert _same_solve(x, solve_dense(KroneckerSum(factors), c, es, memory_cap=cap))
 
-    def test_a_form_above_the_cap_is_not_kept(self):
+    def test_a_dense_form_under_a_tight_cap_drops_the_train(self):
         ks = KroneckerSum(self._factors())
         c = np.random.default_rng(29).standard_normal(ks.shape)
         es = build_expsum(params_for_terms(0.5, 10))
