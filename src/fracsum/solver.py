@@ -25,11 +25,11 @@ only on the operator and the sum, so each operator keeps its filters in a
 :class:`_FilterStore`: the factors of ``F`` are built the first time the
 operator meets the sum, and each form derived from them the first time a
 path asks for it.  A path supplies only its entrywise product with ``F``:
-dense tensors multiply ``F`` densified; CP and Tucker factors are scaled term
+dense tensors multiply ``F`` densified, and so does a Tucker core when
+``N * r_i >= n_i`` in every mode; other CP and Tucker factors are scaled term
 by term along their mode index by the factors of ``F`` (Tucker orthogonalizes
-a stack by QR only where it has more rows than columns, and otherwise keeps
-the eigenbasis); tensor trains are multiplied by ``F`` written as a
-compressed train for a budget.
+by QR only the modes where ``n_i > N * r_i``); tensor trains are multiplied by
+``F`` written as a compressed train for a budget.
 
 Around those steps every solve path runs one protocol, written once in
 ``_solve``, and adds only its own input checks and its entrywise step.  The
@@ -94,8 +94,9 @@ class KroneckerSum:
     on first use, shared by every solve, and positive definiteness is checked
     at that point.  Finite entries and symmetry are checked eagerly at
     construction.  The factors, eigenvalues and eigenvectors are read-only
-    copies, so an operator never changes after it is built.  The filters of
-    the sums applied to it are kept in its private :class:`_FilterStore`.
+    copies, so an operator never changes after it is built, nor does a
+    pickled or deep copy.  The filters of the sums applied to it are kept in
+    its private :class:`_FilterStore`.
     """
 
     def __init__(self, factors):
@@ -112,6 +113,15 @@ class KroneckerSum:
             a.flags.writeable = False
         self._factors = factors
         self._filters = _FilterStore()
+
+    def __getstate__(self):
+        # a copy keeps no filters; unpickling and copy.deepcopy would hand back writable arrays
+        return {k: v for k, v in self.__dict__.items() if k != "_filters"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _filters=_FilterStore())
+        for a in (*self._factors, *(a for pair in state.get("spectra", ()) for a in pair)):
+            a.flags.writeable = False
 
     @property
     def factors(self) -> tuple:
@@ -212,13 +222,15 @@ class _FilterStore:
     Sums hash by their parameters, so equal sums share their filters.  The
     factors :func:`_sum_filter` builds are kept for every sum met,
     ``sum(n_i) * N`` entries each.  The forms derived from them, the dense
-    filter and the train for a budget, are kept oldest first: keeping a
-    form of ``m`` entries drops the oldest forms until the kept ones hold at
-    most ``cap - m``, ``cap`` being the memory cap of the solve that built
-    it, and a form above ``cap`` is not kept.  Every kept array is
-    read-only.  The store holds no reference to its operator, so it is
-    freed with it.  Threads may share it: two that miss the same form both
-    build it, and either copy is the same filter.
+    filter (read by :func:`solve_dense` and every all-wide Tucker solve) and
+    the train for a budget (read by :func:`solve_tt`), are kept oldest first:
+    keeping a form of ``m`` entries drops the oldest forms until the kept
+    ones hold at most ``cap - m``, ``cap`` being the memory cap of the solve
+    that built it, and a form above ``cap`` is not kept.  Every kept array is
+    read-only.  The store holds no reference to its operator, so it is freed
+    with it, and a copy of the operator starts with an empty store.  Threads
+    may share it: two that miss the same form both build it, and either copy
+    is the same filter.
     """
 
     def __init__(self):
@@ -230,10 +242,9 @@ class _FilterStore:
         return sum(entries for _, entries in self._forms.values())
 
     def factors(self, ks: KroneckerSum, es: ExpSum) -> CPTensor:
-        filt = self._factors.get(es)
-        if filt is None:
-            filt = self._factors[es] = _sum_filter(ks, es)
-        return filt
+        if es not in self._factors:
+            self._factors[es] = _sum_filter(ks, es)
+        return self._factors[es]
 
     def dense(self, ks: KroneckerSum, es: ExpSum, memory_cap: int) -> np.ndarray:
         """The densified filter; its Khatri-Rao operands get at least the default cap."""
@@ -337,11 +348,7 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = D
     """
     c = np.asarray(c, dtype=float)
     _check_memory(c.size, memory_cap, "dense solve")
-
-    def step(y):
-        return ks._filters.dense(ks, es, memory_cap) * y
-
-    return _solve(ks, es, c, step)
+    return _solve(ks, es, c, lambda y: ks._filters.dense(ks, es, memory_cap) * y)
 
 
 def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
@@ -352,10 +359,7 @@ def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
     term ``j`` in columns ``j*rank(c)`` to ``(j+1)*rank(c) - 1`` (no
     recompression is attempted in this format).
     """
-    def step(y):
-        return CPTensor(tuple(_face_split_factors(ks._filters.factors(ks, es), y.factors)))
-
-    return _solve(ks, es, c, step)
+    return _solve(ks, es, c, lambda y: CPTensor(tuple(_face_split_factors(ks._filters.factors(ks, es), y.factors))))
 
 
 def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
@@ -363,32 +367,28 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
 
     In the eigenbasis mode ``i`` holds the stack ``[E_i1 U_i ... E_iN U_i]``
     of ``n_terms * r_i`` columns.  A wide stack (``n_i <= n_terms * r_i``)
-    spans its whole mode, so its basis is the identity and its blocks
-    ``R_ij`` are the stack itself; only a tall stack is orthogonalized by QR.
-    Only the bases are rotated back, so the result is a valid Tucker tensor
-    with multilinear ranks ``min(n_terms * r_i, n_i)``, the factor of a wide
-    mode being the eigenvectors ``Q_i``.
-
-    The new core ``sum_j C x_1 R_1j ... x_d R_dj`` (the scaled weights sit in
-    the mode-0 blocks) is formed as :meth:`CPTensor.to_dense` densifies: the
-    block Khatri-Rao products of the leading ``h = d // 2`` and the trailing
-    modes, the leading one contracted with ``C``, meet in one matrix product
-    that also sums the terms.  Terms are taken in chunks so that no operand
-    has more than ``n_terms * prod(ranks[h:])`` entries, one chunk for a
-    rank-one core.  When every stack is wide, ``R_ij = E_ij U_i`` and the
-    core is the densified filter times ``C x_1 U_1 ... x_d U_d``; a core that
-    is not rank one is formed that way, because the Khatri-Rao route would
-    repeat the filter's product once per core column.  Raises
-    :class:`MemoryCapError` before any of this when the core, or an operand
-    of a chunk, has more than ``DEFAULT_MEMORY_CAP`` entries.
+    spans its mode, so it keeps the eigenbasis ``Q_i`` and its blocks
+    ``R_ij`` are the stack itself; only a tall stack is orthogonalized by QR,
+    and only the bases are rotated back.  The result is a valid Tucker tensor
+    of multilinear ranks ``min(n_terms * r_i, n_i)``.  Its core
+    ``sum_j C x_1 R_1j ... x_d R_dj`` (the scaled weights in the mode-0
+    blocks) is, when every stack is wide, the operator's kept dense filter
+    times ``C x_1 U_1 ... x_d U_d``.  Otherwise it is formed as
+    :meth:`CPTensor.to_dense` densifies: the block Khatri-Rao products of the
+    leading ``h = d // 2`` and the trailing modes, the leading one contracted
+    with ``C``, meet in one matrix product that sums the terms, taken in
+    chunks so that no operand has more than ``n_terms * prod(ranks[h:])``
+    entries.  Raises :class:`MemoryCapError` before any of this when the
+    core, or an operand of the filter's first densification (all wide) or of
+    a chunk (otherwise), has more than ``DEFAULT_MEMORY_CAP`` entries.
     """
     def combine(y: TuckerTensor) -> TuckerTensor:
         ranks = tuple(min(n, es.n_terms * r) for n, r in zip(y.shape, y.ranks))
         _check_memory(math.prod(ranks), DEFAULT_MEMORY_CAP, "Tucker core")
-        if ranks == y.shape and math.prod(y.ranks) > 1:
-            # every stack is wide: the core is F * (C x_i U_i), which the Khatri-Rao route
-            # below would repeat once per column of a core that is not rank one
-            core = ks._filters.dense(ks, es, DEFAULT_MEMORY_CAP) * multi_mode_product(y.core, y.factors)
+        if ranks == y.shape:
+            filt = ks._filters.dense(ks, es, DEFAULT_MEMORY_CAP)
+            core = multi_mode_product(y.core, y.factors)
+            core *= filt
             return TuckerTensor(core=core, factors=tuple(np.eye(n) for n in ranks))
         stacks = _face_split_factors(ks._filters.factors(ks, es), y.factors)
         h = len(ranks) // 2
@@ -446,13 +446,10 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     below their noise floor; that cut, like any other floating-point
     rounding, is outside ``error_bound``.
 
-    ``F_delta`` depends only on the operator, the sum and ``round_tol``, never
-    on ``c``; it is built the first time the operator meets that sum and
-    ``round_tol``, and the operator's :class:`_FilterStore` keeps it, within
-    ``DEFAULT_MEMORY_CAP`` entries, for the next solve.
+    The operator's :class:`_FilterStore` keeps ``F_delta``, which depends
+    only on it, the sum and ``round_tol``, for the next solve.
     """
     _check_nonnegative(round_tol, "round_tol")
-
     half = (es.n_terms - 1) * round_tol / 2
 
     def step(y):

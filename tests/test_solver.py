@@ -1,6 +1,8 @@
 """Kronecker-sum solver: format paths, oracle and bounds."""
 
+import copy
 import dataclasses
+import pickle
 import sys
 import time
 import tracemalloc
@@ -74,6 +76,21 @@ class TestKroneckerSum:
         # the store holds the train within the cap of solve_tt, which takes none
         assert 0 < ks._filters.held() <= tensors.DEFAULT_MEMORY_CAP
         assert not any(callable(getattr(f, "cache_info", None)) for f in vars(solver).values())
+
+    @pytest.mark.parametrize("copy_of", [lambda ks: pickle.loads(pickle.dumps(ks)), copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_a_copy_is_read_only_and_keeps_no_filters(self, copy_of):
+        rng = np.random.default_rng(4)
+        ks = KroneckerSum([random_spd(rng, n) for n in (4, 5, 3)])
+        es = make_es()
+        c = rng.standard_normal(ks.shape)
+        want = solve_dense(ks, c, es)
+        assert ks._filters.held() > 0
+        dup = copy_of(ks)
+        assert dup._filters is not ks._filters and dup._filters.held() == 0 and not dup._filters._factors
+        for a in (*dup.factors, *(a for pair in dup.spectra for a in pair)):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+        assert _same_solve(solve_dense(dup, c, es), want)
 
     def test_factors_and_spectra_are_read_only(self):
         rng = np.random.default_rng(2)
@@ -310,9 +327,9 @@ class TestSolveTucker:
     )
     def test_wide_and_tall_stacks_match_dense_solve(self, shape, ranks):
         # with 3 terms a stack has 3*r_i columns: modes with n_i <= 3*r_i keep
-        # the identity basis, the others are orthogonalized by QR; all but
-        # d1-wide form the core by Khatri-Rao products, d1-tall, d2 and d4 in
-        # several chunks of terms
+        # the identity basis, the others are orthogonalized by QR; d1-wide and
+        # d3-wide-rank-one, all wide, multiply by the dense filter, the others
+        # form the core by Khatri-Rao products in several chunks of terms
         rng = np.random.default_rng(23)
         ks = KroneckerSum([random_spd(rng, n) for n in shape])
         es = build_expsum(params_for_terms(0.5, 3))
@@ -615,6 +632,22 @@ class TestFilterStore:
         assert counted["build"] == 1
         assert _same_solve(x_cp, solve_cp(KroneckerSum(factors), cp, es))
         assert _same_solve(x_tucker, solve_tucker(KroneckerSum(factors), tucker, es))
+
+    def test_repeated_all_wide_tucker_solves_densify_the_filter_once(self, counted):
+        # N * r_i >= n_i on every mode: a rank-one core reads the kept dense filter too
+        factors = self._factors(sizes=(6, 5, 4))
+        ks = KroneckerSum(factors)
+        es = build_expsum(params_for_terms(0.5, 30))
+        rng = np.random.default_rng(32)
+        factors_c = tuple(np.linalg.qr(rng.standard_normal((n, 1)))[0] for n in ks.shape)
+        c = TuckerTensor(core=np.full((1, 1, 1), 2.5), factors=factors_c)
+        got = [solve_tucker(ks, c, es) for _ in range(3)]
+        assert counted == {"build": 1, "densify": 1}
+        fresh = solve_tucker(KroneckerSum(factors), c, es)
+        assert all(_same_solve(x, fresh) for x in got)
+        x, report = got[0]
+        assert x.ranks == report.ranks == ks.shape
+        assert all(np.array_equal(f, q) for f, (_, q) in zip(x.factors, ks.spectra))
 
     def test_a_cap_of_two_dense_forms_drops_the_oldest(self, counted):
         factors = self._factors()
