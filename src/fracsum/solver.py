@@ -28,8 +28,9 @@ path asks for it.  A path supplies only its entrywise product with ``F``:
 dense tensors multiply ``F`` densified, and so does a Tucker core when
 ``N * r_i >= n_i`` in every mode; other CP and Tucker factors are scaled term
 by term along their mode index by the factors of ``F`` (Tucker orthogonalizes
-by QR only the modes where ``n_i > N * r_i``); tensor trains are multiplied by
-``F`` written as a compressed train for a budget.
+by QR only the modes where ``n_i > N * r_i`` and sums the terms of its core by
+``tensors._term_sum``, the kernel that also densifies ``F``); tensor trains
+are multiplied by ``F`` written as a compressed train for a budget.
 
 Around those steps every solve path runs one protocol, written once in
 ``_solve``, and adds only its own input checks and its entrywise step.  The
@@ -50,7 +51,6 @@ right-hand side whose norm is not finite at the start of a solve.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -70,6 +70,7 @@ from .tensors import (
     _check_nonnegative,
     _cp_to_tt,
     _normed,
+    _term_sum,
     _tt_hadamard_round,
     multi_mode_product,
     tt_round,  # unused here; the benchmark's tracer test reads fracsum.solver.tt_round
@@ -175,8 +176,8 @@ class SolveReport:
     lambda_min: float = 0.0
 
     def __post_init__(self):
-        if self.error_bound < 0.0:
-            raise ValueError("error_bound must be nonnegative")
+        if not self.error_bound >= 0.0:  # NaN fails too
+            raise ValueError(f"error_bound must be nonnegative, got {self.error_bound}")
 
 
 def _scale(ks: KroneckerSum, es: ExpSum) -> float:
@@ -247,7 +248,7 @@ class _FilterStore:
         return self._factors[es]
 
     def dense(self, ks: KroneckerSum, es: ExpSum, memory_cap: int) -> np.ndarray:
-        """The densified filter; its Khatri-Rao operands get at least the default cap."""
+        """The densified filter; the operands of its ``tensors._term_sum`` get at least the default cap."""
         cap = max(memory_cap, DEFAULT_MEMORY_CAP)
         return self._form((es, None), memory_cap, lambda: self.factors(ks, es).to_dense(cap))
 
@@ -324,18 +325,6 @@ def _face_split_factors(filt: CPTensor, factors) -> list:
     return [(f[:, :, None] * u[:, None, :]).reshape(len(f), -1) for f, u in zip(filt.factors, factors)]
 
 
-def _block_khatri_rao(blocks, n_terms: int) -> np.ndarray:
-    """Per term ``j``, the Kronecker product of the blocks ``b[:, j, :]``, as ``(prod rows, n_terms, prod columns)``.
-
-    Rows and columns run over the blocks in C order, the last block's index
-    fastest; no block gives ones of shape ``(1, n_terms, 1)``.
-    """
-    out = np.ones((1, n_terms, 1))
-    for b in blocks:
-        out = (out[:, None, :, :, None] * b[None, :, :, None, :]).reshape(len(out) * len(b), n_terms, -1)
-    return out
-
-
 def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = DEFAULT_MEMORY_CAP):
     """Approximate the inverse fractional power applied to a dense tensor.
 
@@ -373,14 +362,12 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     of multilinear ranks ``min(n_terms * r_i, n_i)``.  Its core
     ``sum_j C x_1 R_1j ... x_d R_dj`` (the scaled weights in the mode-0
     blocks) is, when every stack is wide, the operator's kept dense filter
-    times ``C x_1 U_1 ... x_d U_d``.  Otherwise it is formed as
-    :meth:`CPTensor.to_dense` densifies: the block Khatri-Rao products of the
-    leading ``h = d // 2`` and the trailing modes, the leading one contracted
-    with ``C``, meet in one matrix product that sums the terms, taken in
-    chunks so that no operand has more than ``n_terms * prod(ranks[h:])``
-    entries.  Raises :class:`MemoryCapError` before any of this when the
-    core, or an operand of the filter's first densification (all wide) or of
-    a chunk (otherwise), has more than ``DEFAULT_MEMORY_CAP`` entries.
+    times ``C x_1 U_1 ... x_d U_d``.  Otherwise it is ``tensors._term_sum``
+    of ``C`` and the blocks, the one term-sum kernel, which also densifies
+    CP tensors.  Raises :class:`MemoryCapError` when the core has more than
+    ``DEFAULT_MEMORY_CAP`` entries, before the stacks are formed, and when an
+    operand of the filter's first densification (all wide) or of the kernel
+    (otherwise) has, before that operand is formed.
     """
     def combine(y: TuckerTensor) -> TuckerTensor:
         ranks = tuple(min(n, es.n_terms * r) for n, r in zip(y.shape, y.ranks))
@@ -391,28 +378,10 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
             core *= filt
             return TuckerTensor(core=core, factors=tuple(np.eye(n) for n in ranks))
         stacks = _face_split_factors(ks._filters.factors(ks, es), y.factors)
-        h = len(ranks) // 2
-        # per term: the lead operand is rows[0] x cols[0], its product with C rows[0] x cols[1],
-        # the trailing operand rows[1] x cols[1]
-        rows = (math.prod(ranks[:h]), math.prod(ranks[h:]))
-        cols = (math.prod(y.ranks[:h]), math.prod(y.ranks[h:]))
-        per_term = max(rows[0] * cols[0], rows[0] * cols[1], rows[1] * cols[1])
-        chunk = min(es.n_terms, max(1, es.n_terms * rows[1] // per_term))
-        _check_memory(chunk * per_term, DEFAULT_MEMORY_CAP, "Tucker core")
         qs, r_blocks = zip(*((np.eye(len(b)), b) if len(b) <= b.shape[1] else np.linalg.qr(b) for b in stacks))
         # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
-        r_blocks = [b.reshape(len(b), es.n_terms, -1) for b in r_blocks]
-        c_mat = y.core.reshape(cols)
-
-        def chunk_core(lo):
-            terms = slice(lo, min(lo + chunk, es.n_terms))
-            k_lead = _block_khatri_rao([b[:, terms] for b in r_blocks[:h]], terms.stop - lo)
-            k_trail = _block_khatri_rao([b[:, terms] for b in r_blocks[h:]], terms.stop - lo)
-            m = (k_lead.reshape(-1, cols[0]) @ c_mat).reshape(rows[0], -1)
-            return m @ k_trail.reshape(rows[1], -1).T
-
-        core = reduce(operator.iadd, map(chunk_core, range(0, es.n_terms, chunk)))
-        return TuckerTensor(core=core.reshape(ranks), factors=qs)
+        core = _term_sum(y.core, [b.reshape(len(b), es.n_terms, -1) for b in r_blocks], DEFAULT_MEMORY_CAP, "Tucker core")
+        return TuckerTensor(core=core, factors=qs)
 
     return _solve(ks, es, c, combine)
 

@@ -7,7 +7,9 @@ in every format.  A product along one mode passes identities for the
 others; under this convention ``multi_mode_product(X, [A, I])`` is ``A @ X``
 for a d = 2 tensor, and the product along mode i alone acts on the
 linearized tensor as the Kronecker-structured matrix whose non-identity
-factor sits in position i counted from the right.  ``_normed`` reads the
+factor sits in position i counted from the right.  ``_term_sum`` is the one
+contraction of N separable terms, ``sum_j C x_1 B_1j ... x_d B_dj``, for CP
+densification and the solver's Tucker core.  ``_normed`` reads the
 Frobenius norm of every format and hands a train back left-orthogonal, by
 the one QR sweep a train gets in a solve (``_left_orthogonal``).
 
@@ -263,29 +265,56 @@ class CPTensor:
         return cls(tuple(np.asarray(v, dtype=float).reshape(-1, 1) for v in vectors))
 
     def to_dense(self, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
-        """Densify with one matrix product.
+        """Densify as :func:`_term_sum` of a one-entry core, term ``j`` the ``j``-th columns of the factors.
 
-        The Khatri-Rao products of the leading ``h = d // 2`` and the trailing
-        modes, each over its modes in reverse so that its rows run in C order,
-        meet in one GEMM; no ``prod(n) x rank`` array is formed.  Raises
-        :class:`MemoryCapError` first when the result or an operand,
-        ``prod(n[:h]) x rank`` or ``prod(n[h:]) x rank``, has more than
-        ``memory_cap`` entries.
+        Raises :class:`MemoryCapError` first when the result or an operand has more than ``memory_cap`` entries.
         """
-        h = len(self.factors) // 2
-        n, k = self.shape, self.rank
-        _check_memory(max(math.prod(n), math.prod(n[:h]) * k, math.prod(n[h:]) * k), memory_cap, "CP densification")
-        lead = _khatri_rao(self.factors[:h][::-1]) if h else np.ones((1, self.rank))
-        return (lead @ _khatri_rao(self.factors[h:][::-1]).T).reshape(self.shape)
+        blocks = [f[:, :, None] for f in self.factors]
+        return _term_sum(np.ones((1,) * len(blocks)), blocks, memory_cap, "CP densification")
 
 
-def _khatri_rao(mats) -> np.ndarray:
-    """Column-wise Kronecker product, first matrix's index fastest."""
-    out = mats[0]
-    for m in mats[1:]:
-        # C order over (m's index, out's index) is out's index fastest, as a view
-        out = (m[:, None, :] * out[None, :, :]).reshape(-1, out.shape[1])
+def _term_kron(blocks, n_terms: int) -> np.ndarray:
+    """Per term ``j``, the Kronecker product of the blocks ``b[:, j, :]``, as ``(prod rows, n_terms, prod columns)``.
+
+    Rows and columns run over the blocks in C order, the last block's index
+    fastest, and the products are taken from the last block to the first; no
+    block gives ones of shape ``(1, n_terms, 1)``.
+    """
+    out = blocks[-1] if blocks else np.ones((1, n_terms, 1))
+    for b in blocks[-2::-1]:
+        out = b[:, None, :, :, None] * out[None, :, :, None, :]
+        out = out.reshape(out.shape[0] * out.shape[1], n_terms, out.shape[3] * out.shape[4])
     return out
+
+
+def _term_sum(core: np.ndarray, blocks, memory_cap: int, path: str) -> np.ndarray:
+    """``sum_j core x_1 B_1j ... x_d B_dj`` as a dense tensor, block ``i`` of shape ``(n_i, N, r_i)``, ``B_ij = blocks[i][:, j, :]``.
+
+    The :func:`_term_kron` products of the leading ``h = d // 2`` and the
+    trailing blocks, the leading one contracted with ``core``, meet in one
+    matrix product that also sums the terms, in chunks of as many terms as
+    keep every operand within ``N * prod(n[h:])`` entries, one at least.  Raises
+    :class:`MemoryCapError` naming ``path`` before any operand is formed when
+    the result or an operand of a chunk has more than ``memory_cap`` entries.
+    """
+    h, n_terms = len(blocks) // 2, blocks[0].shape[1]
+    # per term: the lead operand is rows[0] x cols[0], its product with the core rows[0] x cols[1],
+    # the trailing operand rows[1] x cols[1]; per_term is at least 1 where an extent is 0
+    rows = (math.prod(len(b) for b in blocks[:h]), math.prod(len(b) for b in blocks[h:]))
+    cols = (math.prod(core.shape[:h]), math.prod(core.shape[h:]))
+    per_term = max(rows[0] * cols[0], rows[0] * cols[1], rows[1] * cols[1], 1)
+    chunk = max(1, min(n_terms, n_terms * rows[1] // per_term))
+    _check_memory(max(rows[0] * rows[1], chunk * per_term), memory_cap, path)
+
+    def chunk_sum(lo):
+        k = min(chunk, n_terms - lo)
+        lead = _term_kron([b[:, lo:lo + k] for b in blocks[:h]], k).reshape(rows[0] * k, cols[0])
+        trail = _term_kron([b[:, lo:lo + k] for b in blocks[h:]], k).reshape(rows[1], k * cols[1])
+        # np.dot, unlike @, takes a one-entry core as a scalar, on BLAS
+        return np.dot(lead, core.reshape(cols)).reshape(rows[0], k * cols[1]) @ trail.T
+
+    # no terms still make one chunk, of zeros
+    return reduce(np.ndarray.__iadd__, map(chunk_sum, range(0, max(n_terms, 1), chunk))).reshape([len(b) for b in blocks])
 
 
 # cp_als: sweeps per run, stopping tolerance relative to ||x||, and runs
@@ -338,7 +367,8 @@ def cp_als(x: np.ndarray, rank: int, rng=None, init: CPTensor | None = None) -> 
         prev_err = np.inf
         for _ in range(_ALS_MAX_ITERS):
             for i in range(d):
-                mttkrp = unfoldings[i] @ _khatri_rao([factors[j] for j in range(d) if j != i])
+                others = [factors[j][:, :, None] for j in reversed(range(d)) if j != i]
+                mttkrp = unfoldings[i] @ _term_kron(others, rank).reshape(-1, rank)
                 gram = _gram_product([grams[j] for j in range(d) if j != i])
                 factors[i] = np.linalg.solve(gram + 1e-12 * np.eye(rank), mttkrp.T).T
                 grams[i] = factors[i].T @ factors[i]

@@ -839,8 +839,9 @@ class TestExpKronApply:
 
 class TestSolveReport:
     def test_rejects_negative_bound(self):
-        with pytest.raises(ValueError):
-            SolveReport(n_terms=1, error_bound=-1.0, wall_time=0.0)
+        for bound in (-1.0, np.nan):  # NaN fails too
+            with pytest.raises(ValueError, match="error_bound must be nonnegative"):
+                SolveReport(n_terms=1, error_bound=bound, wall_time=0.0)
 
 
 class TestNonFiniteInput:

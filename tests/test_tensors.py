@@ -13,6 +13,7 @@ from fracsum.tensors import (
     TuckerTensor,
     _as_cores,
     _cp_to_tt,
+    _term_sum,
     _tt_hadamard_round,
     cp_als,
     hosvd,
@@ -636,10 +637,10 @@ class TestRankSubadditivity:
 
 
 class TestCP:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_to_dense_matches_einsum(self, d):
+    @pytest.mark.parametrize("d, rank", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 6), (3, 0)], ids=["1", "2", "3", "4", "5", "3-rank0"])
+    def test_to_dense_matches_einsum(self, d, rank):
         shape = (4, 3, 5, 2, 3)[:d]
-        factors = tuple(rand((n, 6), 30 + i) for i, n in enumerate(shape))
+        factors = tuple(rand((n, rank), 30 + i) for i, n in enumerate(shape))
         letters = "abcde"[:d]
         spec = ",".join(f"{a}z" for a in letters) + "->" + letters
         np.testing.assert_allclose(CPTensor(factors).to_dense(), np.einsum(spec, *factors), rtol=1e-13, atol=1e-13)
@@ -683,6 +684,47 @@ class TestCP:
     def test_als_validates_rank(self):
         with pytest.raises(ValueError):
             cp_als(rand((3, 3), 1), rank=0)
+
+
+class TestTermSum:
+    """``_term_sum`` against the sum over the terms of ``multi_mode_product`` of the core with each term's blocks."""
+
+    @staticmethod
+    def blocks(extents, n_terms, cols, seed):
+        return [rand((n, n_terms, r), seed + i) for i, (n, r) in enumerate(zip(extents, cols))]
+
+    @pytest.mark.parametrize(
+        "extents, cols, per_chunk",
+        [
+            ((5,), (2,), 3),
+            ((3, 5), (2, 3), 2),
+            ((4, 3, 5), (2, 1, 3), 2),
+            ((4, 3, 5), (1, 1, 1), 6),
+            ((2, 3, 4, 5), (1, 2, 2, 1), 3),
+            ((5, 6, 2, 3), (1, 1, 1, 1), 1),
+        ],
+        ids=["d1", "d2", "d3", "d3-rank-one", "d4", "d4-lead-taller-rank-one"],
+    )
+    def test_matches_a_sum_of_mode_products(self, monkeypatch, extents, cols, per_chunk):
+        # 6 terms, per_chunk of them to a chunk, so that no operand has more than 6 * prod(n[h:]) entries
+        blocks = self.blocks(extents, 6, cols, 40)
+        core = rand(cols, 39)
+        calls = []
+        kron = tensors._term_kron
+        monkeypatch.setattr(tensors, "_term_kron", lambda bs, n: calls.append(n) or kron(bs, n))
+        x = _term_sum(core, blocks, tensors.DEFAULT_MEMORY_CAP, "term sum")
+        ref = sum(multi_mode_product(core, [b[:, j, :] for b in blocks]) for j in range(6))
+        assert x.shape == extents
+        np.testing.assert_allclose(x, ref, rtol=1e-13, atol=1e-13)
+        assert calls == [per_chunk] * (2 * 6 // per_chunk)  # a leading and a trailing product per chunk
+
+    def test_an_operand_above_the_cap_raises_before_any_operand_is_formed(self, monkeypatch):
+        # 10 terms of 3 x 3 blocks on 2 x 2 extents: a chunk of 3 terms has operands of
+        # 3 * 6 = 18 entries, above the cap of 17 and the 4-entry result
+        blocks = self.blocks((2, 2), 10, (3, 3), 41)
+        monkeypatch.setattr(tensors, "_term_kron", lambda *args: pytest.fail("an operand was formed"))
+        with pytest.raises(MemoryCapError, match=r"^term sum needs 18 entries, cap is 17$"):
+            _term_sum(rand((3, 3), 42), blocks, 17, "term sum")
 
 
 def with_nan(shape):
