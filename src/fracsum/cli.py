@@ -365,7 +365,7 @@ def cmd_tt_highd(args) -> None:
     rows = []
     for d in dims:
         # the train's guarded set-up runs before the n x n factors are formed
-        rhs = _inv_linear_tt([Grid1D(args.n)] * d)
+        rhs = _inv_linear_tt([Grid1D(args.n)] * d, args.memory_cap)
         ks = KroneckerSum([laplacian_1d(args.n)] * d)
         x, report = solve_tt(ks, rhs, es, round_tol=args.round_tol)
         if d <= 4 and args.n ** d <= args.memory_cap:

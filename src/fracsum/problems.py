@@ -85,6 +85,9 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
     array for ``inv_linear`` and ``custom`` when the entry count fits under
     ``memory_cap``, and for ``inv_linear`` above the cap a tensor train built
     exactly from the lattice of coordinate sums and recompressed at 1e-10.
+    At d = 2 and 3 the train's set-up needs at least the dense array's
+    entries, so there a cap that refuses the array raises
+    :class:`MemoryCapError`.
     """
     grids = list(grids)
     if len(grids) != spec.d:
@@ -110,20 +113,17 @@ def sample_rhs(spec: RhsSpec, grids, memory_cap: int = DEFAULT_MEMORY_CAP):
     # inv_linear
     if total <= memory_cap:
         return 1.0 / (1.0 + sum(np.ix_(*points)))
-    return _inv_linear_tt(grids)
+    return _inv_linear_tt(grids, memory_cap)
 
 
-def _inv_linear_tt(grids) -> TTTensor:
+def _inv_linear_tt(grids, memory_cap: int) -> TTTensor:
     """Exact train for a function of the coordinate sum, then recompression at 1e-10.
 
     On a common uniform grid the sum ``x_1 + ... + x_d`` only takes the
     lattice values ``h*(d + k)`` with ``k = 0 .. d*(n-1)``, so the tensor of
     samples factorizes exactly through carriages that track the running index
     sum; the raw ranks ``j*(n-1)+1`` collapse to the numerical rank after one
-    rounding pass.  The raw carriages are dense, so a largest one of more
-    than ``DEFAULT_MEMORY_CAP`` entries raises :class:`MemoryCapError` before
-    any is formed.  That cap is the library default, not ``sample_rhs``'s
-    ``memory_cap``, which only chooses between the dense array and the train.
+    rounding pass.  The raw carriages are dense.
     """
     ns = {g.n for g in grids}
     if len(ns) != 1:
@@ -134,7 +134,7 @@ def _inv_linear_tt(grids) -> TTTensor:
         raise ValueError("tensor trains need at least two modes")
     h = grids[0].h
     ranks = [j * (n - 1) + 1 for j in range(d)] + [1]  # carriage j maps ranks[j] running sums to ranks[j+1]
-    _check_memory(max(r * n * q for r, q in zip(ranks, ranks[1:])), DEFAULT_MEMORY_CAP, "inv_linear train")
+    _check_memory(max(r * n * q for r, q in zip(ranks, ranks[1:])), memory_cap, "inv_linear train")
     cars = [np.eye(n)]
     for j in range(1, d - 1):
         c = np.zeros((ranks[j], n, ranks[j + 1]))

@@ -107,6 +107,8 @@ class KroneckerSum:
         for i, a in enumerate(factors):
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError(f"factor {i} is not square")
+            if not a.size:
+                raise ValueError(f"factor {i} is empty")
             _check_finite([a], f"factor {i}")
             scale = np.max(np.abs(a))
             if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
@@ -248,9 +250,8 @@ class _FilterStore:
         return self._factors[es]
 
     def dense(self, ks: KroneckerSum, es: ExpSum, memory_cap: int) -> np.ndarray:
-        """The densified filter; the operands of its ``tensors._term_sum`` get at least the default cap."""
-        cap = max(memory_cap, DEFAULT_MEMORY_CAP)
-        return self._form((es, None), memory_cap, lambda: self.factors(ks, es).to_dense(cap))
+        """The densified filter."""
+        return self._form((es, None), memory_cap, lambda: self.factors(ks, es).to_dense(memory_cap))
 
     def train(self, ks: KroneckerSum, es: ExpSum, budget: float) -> TTTensor:
         """The filter as a train within ``budget`` of it, left-orthogonal as ``tensors._sweep_round`` leaves it."""
@@ -331,9 +332,7 @@ def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = D
     The filter of the sum, densified on the eigenvalue lattice, is applied
     between one rotation into the joint eigenbasis and one rotation back.
     The operator keeps the densified filter for the next solve with an equal
-    sum, counting it against ``memory_cap``.  Raises :class:`MemoryCapError`
-    before the filter is formed when ``c`` has more than ``memory_cap``
-    entries.
+    sum, counting it against ``memory_cap``.
     """
     c = np.asarray(c, dtype=float)
     _check_memory(c.size, memory_cap, "dense solve")
@@ -364,10 +363,8 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     blocks) is, when every stack is wide, the operator's kept dense filter
     times ``C x_1 U_1 ... x_d U_d``.  Otherwise it is ``tensors._term_sum``
     of ``C`` and the blocks, the one term-sum kernel, which also densifies
-    CP tensors.  Raises :class:`MemoryCapError` when the core has more than
-    ``DEFAULT_MEMORY_CAP`` entries, before the stacks are formed, and when an
-    operand of the filter's first densification (all wide) or of the kernel
-    (otherwise) has, before that operand is formed.
+    CP tensors.  Both run under ``DEFAULT_MEMORY_CAP``; the core is checked
+    against it before the stacks are formed.
     """
     def combine(y: TuckerTensor) -> TuckerTensor:
         ranks = tuple(min(n, es.n_terms * r) for n, r in zip(y.shape, y.ranks))

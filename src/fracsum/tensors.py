@@ -41,8 +41,11 @@ whatever thread count the process runs with.  Every other kernel,
 included, keeps the process's count: its large products gain from more
 threads.
 
-Every dense path that could outgrow memory, here and in the solver, raises
-:class:`MemoryCapError` before it forms more than ``memory_cap`` entries.
+Every call that takes a ``memory_cap`` forms no array of more entries than
+the cap; it raises :class:`MemoryCapError`, before it forms any, only where
+its result or the operands of a single term would have more.  The per-mode
+arrays an operator keeps, ``n_i x n_i`` eigenvectors and ``n_i x N`` filter
+factors, are not a call's.
 :func:`tt_round`, :func:`tt_svd`, :func:`hosvd` and :func:`cp_als` reject a
 target with non-finite entries with a one-line ``ValueError``.
 """
@@ -265,10 +268,7 @@ class CPTensor:
         return cls(tuple(np.asarray(v, dtype=float).reshape(-1, 1) for v in vectors))
 
     def to_dense(self, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
-        """Densify as :func:`_term_sum` of a one-entry core, term ``j`` the ``j``-th columns of the factors.
-
-        Raises :class:`MemoryCapError` first when the result or an operand has more than ``memory_cap`` entries.
-        """
+        """Densify as :func:`_term_sum` of a one-entry core, term ``j`` the ``j``-th columns of the factors."""
         blocks = [f[:, :, None] for f in self.factors]
         return _term_sum(np.ones((1,) * len(blocks)), blocks, memory_cap, "CP densification")
 
@@ -293,9 +293,8 @@ def _term_sum(core: np.ndarray, blocks, memory_cap: int, path: str) -> np.ndarra
     The :func:`_term_kron` products of the leading ``h = d // 2`` and the
     trailing blocks, the leading one contracted with ``core``, meet in one
     matrix product that also sums the terms, in chunks of as many terms as
-    keep every operand within ``N * prod(n[h:])`` entries, one at least.  Raises
-    :class:`MemoryCapError` naming ``path`` before any operand is formed when
-    the result or an operand of a chunk has more than ``memory_cap`` entries.
+    keep every operand within ``N * prod(n[h:])`` entries and ``memory_cap``,
+    one at least.  A :class:`MemoryCapError` names ``path``.
     """
     h, n_terms = len(blocks) // 2, blocks[0].shape[1]
     # per term: the lead operand is rows[0] x cols[0], its product with the core rows[0] x cols[1],
@@ -303,7 +302,7 @@ def _term_sum(core: np.ndarray, blocks, memory_cap: int, path: str) -> np.ndarra
     rows = (math.prod(len(b) for b in blocks[:h]), math.prod(len(b) for b in blocks[h:]))
     cols = (math.prod(core.shape[:h]), math.prod(core.shape[h:]))
     per_term = max(rows[0] * cols[0], rows[0] * cols[1], rows[1] * cols[1], 1)
-    chunk = max(1, min(n_terms, n_terms * rows[1] // per_term))
+    chunk = max(1, min(n_terms, min(n_terms * rows[1], memory_cap) // per_term))
     _check_memory(max(rows[0] * rows[1], chunk * per_term), memory_cap, path)
 
     def chunk_sum(lo):
@@ -523,16 +522,17 @@ class TTTensor:
         return tuple(c.shape[2] for c in _as_cores(self)[:-1])
 
     def to_dense(self, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
-        """The dense tensor; raises :class:`MemoryCapError` first when it has more than ``memory_cap`` entries."""
-        _check_memory(math.prod(self.shape), memory_cap, "train densification")
+        """The dense tensor; its operands are the partial products ``prod(n[:k+1]) x r_(k+1)``, the last of them the result."""
+        cores, shape = _as_cores(self), self.shape
+        _check_memory(max(math.prod(shape[:k + 1]) * c.shape[2] for k, c in enumerate(cores)), memory_cap, "train densification")
         # Row-major pairing throughout: the accumulated rows enumerate the
         # leading indices with the most recent one fastest, which is exactly
         # the C-order layout of the final array.
         m = np.ones((1, 1))
-        for c in _as_cores(self):
+        for c in cores:
             r0, n, r1 = c.shape
             m = (m @ c.reshape(r0, n * r1)).reshape(-1, r1)
-        return m.reshape(self.shape)
+        return m.reshape(shape)
 
 
 def _as_cores(x: TTTensor) -> list:

@@ -155,7 +155,8 @@ from fracsum.expsum import build_expsum, params_for_terms
 from fracsum.problems import Grid1D, RhsSpec, laplacian_1d, sample_rhs
 from fracsum.solver import KroneckerSum, solve_tt
 n, d = 16, 6
-c = sample_rhs(RhsSpec(kind="inv_linear", d=d), [Grid1D(n)] * d, memory_cap=1)
+# below the 16**6 dense entries, above the 74,176 of the train's largest raw carriage
+c = sample_rhs(RhsSpec(kind="inv_linear", d=d), [Grid1D(n)] * d, memory_cap=100000)
 x, _ = solve_tt(KroneckerSum([laplacian_1d(n)] * d), c, build_expsum(params_for_terms(0.5, 100)))
 h = hashlib.sha256()
 for a in x.carriages:

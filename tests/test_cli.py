@@ -152,6 +152,13 @@ class TestPoisson:
         code = run(["poisson", "--d", 9, "--n", 16, "--alpha", 0.4, "--out", tmp_path / "x.dat"])
         assert code == 3
 
+    def test_cp_result_under_the_cap_densifies_in_chunks(self, tmp_path):
+        # the densification's operands need 1088 entries in one chunk; its 512-entry result fits
+        cp, dense = tmp_path / "cp.dat", tmp_path / "dense.dat"
+        assert run(["poisson", "--format", "cp", "--rhs", "random_rank1", "--n", 8, "--memory-cap", 1024, "--out", cp]) == 0
+        assert run(["poisson", "--rhs", "random_rank1", "--n", 8, "--out", dense]) == 0
+        np.testing.assert_allclose(load(cp), load(dense), rtol=1e-10, atol=0)
+
     def test_one_dimensional_factor_counted_against_the_cap(self, tmp_path, capsys, monkeypatch):
         # n**d is 1000 entries, but the factor and the oracle's eigenvectors are n x n
         def reached(*args, **kwargs):
@@ -219,12 +226,18 @@ class TestTTHighD:
 
     def test_high_dimension_blanks_error_column(self, tmp_path):
         out = tmp_path / "tt6.dat"
-        code = run(["tt-highd", "--d", 6, "--n", 6, "--N", 40, "--memory-cap", 1000, "--out", out])
+        # above the 3,276 entries of the train's largest raw carriage, below the 6**6 dense ones
+        code = run(["tt-highd", "--d", 6, "--n", 6, "--N", 40, "--memory-cap", 5000, "--out", out])
         assert code == 0
         d, wall, err, rank = load(out)[0]
         assert d == 6
         assert math.isnan(err)
         assert rank >= 1
+
+    def test_the_cap_gates_the_train_set_up(self, tmp_path, capsys):
+        code = run(["tt-highd", "--d", 4, "--n", 40, "--N", 10, "--memory-cap", 100000, "--out", tmp_path / "tt.dat"])
+        assert code == 3
+        assert capsys.readouterr().err == "fracsum: inv_linear train needs 372880 entries, cap is 100000\n"
 
     def test_dimension_16_runs_in_train_format(self, tmp_path):
         # 16**16 entries: the right-hand side is never densified

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import fracsum.problems
 from fracsum.problems import Grid1D, RhsSpec, laplacian_1d, sample_rhs
 from fracsum.solver import MemoryCapError
 from fracsum.tensors import CPTensor, TTTensor
@@ -94,14 +93,16 @@ class TestSampleRhs:
 
     def test_inv_linear_train_above_cap(self):
         grids = [Grid1D(8)] * 5
-        rhs = sample_rhs(RhsSpec(kind="inv_linear", d=5), grids, memory_cap=1000)
+        # below the 8**5 dense entries, above the 5,104 of the train's largest raw carriage
+        rhs = sample_rhs(RhsSpec(kind="inv_linear", d=5), grids, memory_cap=6000)
         assert isinstance(rhs, TTTensor)
         dense = sample_rhs(RhsSpec(kind="inv_linear", d=5), grids)
         assert np.linalg.norm(rhs.to_dense() - dense) <= 1e-8 * np.linalg.norm(dense)
 
     def test_inv_linear_train_pointwise_samples(self):
         grids = [Grid1D(10)] * 4
-        rhs = sample_rhs(RhsSpec(kind="inv_linear", d=4), grids, memory_cap=100)
+        # below the 10**4 dense entries, above the 5,320 of the train's largest raw carriage
+        rhs = sample_rhs(RhsSpec(kind="inv_linear", d=4), grids, memory_cap=6000)
         dense = rhs.to_dense()
         rng = np.random.default_rng(5)
         pts = grids[0].points
@@ -110,10 +111,7 @@ class TestSampleRhs:
             expected = 1.0 / (1.0 + sum(pts[i] for i in idx))
             assert dense[idx] == pytest.approx(expected, abs=1e-8)
 
-    def test_inv_linear_train_guards_its_raw_carriages(self, monkeypatch):
-        # the raw carriages are checked against the library default, lowered
-        # here so that the largest one, 79 * 40 * 118 entries, is above it
-        monkeypatch.setattr(fracsum.problems, "DEFAULT_MEMORY_CAP", 100000)
+    def test_inv_linear_train_guards_its_raw_carriages(self):
         with pytest.raises(MemoryCapError, match="inv_linear train needs 372880 entries, cap is 100000"):
             sample_rhs(RhsSpec(kind="inv_linear", d=4), [Grid1D(40)] * 4, memory_cap=100000)
         assert isinstance(sample_rhs(RhsSpec(kind="inv_linear", d=4), [Grid1D(20)] * 4, memory_cap=100000), TTTensor)

@@ -48,6 +48,10 @@ class TestKroneckerSum:
         with pytest.raises(ValueError):
             KroneckerSum([np.array([[1.0, 2.0], [0.0, 1.0]])])
 
+    def test_rejects_an_empty_factor_in_one_line(self):
+        with pytest.raises(ValueError, match=r"^factor 1 is empty$"):
+            KroneckerSum([np.eye(2), np.zeros((0, 0))])
+
     def test_rejects_indefinite_on_first_spectral_use(self):
         ks = KroneckerSum([np.diag([1.0, -0.5])])
         with pytest.raises(ValueError):
@@ -157,6 +161,24 @@ class TestSolveDense:
             solve_dense(ks, np.zeros((8, 8, 8)), make_es(), memory_cap=100)
         x, _ = solve_dense(ks, np.zeros((8, 8, 8)), make_es(), memory_cap=512)
         assert x.shape == (8, 8, 8)
+
+    def test_no_operand_of_the_filter_exceeds_the_cap(self, monkeypatch):
+        # 20 terms of a 64-entry trailing operand: 1280 entries in one chunk, so the cap splits them 16 + 4
+        ks = KroneckerSum([laplacian_1d(8)] * 3)
+        c = np.random.default_rng(8).standard_normal(ks.shape)
+        es = build_expsum(params_for_terms(0.5, 20))
+        want, _ = solve_dense(KroneckerSum(ks.factors), c, es)
+        sizes, kron = [], tensors._term_kron
+
+        def recorded(blocks, n_terms):
+            out = kron(blocks, n_terms)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(tensors, "_term_kron", recorded)
+        x, _ = solve_dense(ks, c, es, memory_cap=1024)
+        assert sizes == [16 * 8, 16 * 64, 4 * 8, 4 * 64]
+        np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 class TestSumFilter:

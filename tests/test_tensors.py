@@ -333,6 +333,11 @@ class TestTTArithmetic:
         with pytest.raises(MemoryCapError):
             t.to_dense(memory_cap=10)
         np.testing.assert_allclose(t.to_dense(memory_cap=64), x, atol=1e-13)
+        # an 8-entry result through a 2*2 x 100 partial product
+        t = TTTensor((rand((2, 100), 1), rand((100, 2, 100), 2), rand((100, 2), 3)))
+        with pytest.raises(MemoryCapError, match=r"^train densification needs 400 entries, cap is 399$"):
+            t.to_dense(memory_cap=399)
+        np.testing.assert_array_equal(t.to_dense(memory_cap=400), t.to_dense())
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_round_and_svd_reject_a_bad_tolerance(self, tol):
@@ -646,11 +651,11 @@ class TestCP:
         np.testing.assert_allclose(CPTensor(factors).to_dense(), np.einsum(spec, *factors), rtol=1e-13, atol=1e-13)
 
     def test_to_dense_memory_cap(self):
-        # the trailing Khatri-Rao operand, 4*4 rows by rank 10, outgrows the 4*4*4 result
+        # a 4*4-row operand per term: under a cap of 64, the result's size, chunks of 4 terms
         t = CPTensor(tuple(rand((4, 10), i) for i in range(3)))
-        with pytest.raises(MemoryCapError, match="CP densification needs 160 entries"):
-            t.to_dense(memory_cap=159)
-        assert t.to_dense(memory_cap=160).shape == (4, 4, 4)
+        with pytest.raises(MemoryCapError, match=r"^CP densification needs 64 entries, cap is 63$"):
+            t.to_dense(memory_cap=63)
+        np.testing.assert_allclose(t.to_dense(memory_cap=64), t.to_dense(), rtol=1e-14, atol=1e-14)
 
     def test_als_recovers_rank_one(self):
         x = CPTensor.from_rank1([rand(5, 1), rand(6, 2), rand(4, 3)]).to_dense()
@@ -719,12 +724,18 @@ class TestTermSum:
         assert calls == [per_chunk] * (2 * 6 // per_chunk)  # a leading and a trailing product per chunk
 
     def test_an_operand_above_the_cap_raises_before_any_operand_is_formed(self, monkeypatch):
-        # 10 terms of 3 x 3 blocks on 2 x 2 extents: a chunk of 3 terms has operands of
-        # 3 * 6 = 18 entries, above the cap of 17 and the 4-entry result
-        blocks = self.blocks((2, 2), 10, (3, 3), 41)
+        # 10 terms of 3 x 3 blocks on 2 x 2 extents: one term's operands have 6 entries,
+        # above the cap of 5; under a cap of 17 a chunk takes 2 terms, 12 entries
+        blocks, core = self.blocks((2, 2), 10, (3, 3), 41), rand((3, 3), 42)
+        kron = tensors._term_kron
         monkeypatch.setattr(tensors, "_term_kron", lambda *args: pytest.fail("an operand was formed"))
-        with pytest.raises(MemoryCapError, match=r"^term sum needs 18 entries, cap is 17$"):
-            _term_sum(rand((3, 3), 42), blocks, 17, "term sum")
+        with pytest.raises(MemoryCapError, match=r"^term sum needs 6 entries, cap is 5$"):
+            _term_sum(core, blocks, 5, "term sum")
+        calls = []
+        monkeypatch.setattr(tensors, "_term_kron", lambda bs, n: calls.append(n) or kron(bs, n))
+        ref = sum(multi_mode_product(core, [b[:, j, :] for b in blocks]) for j in range(10))
+        np.testing.assert_allclose(_term_sum(core, blocks, 17, "term sum"), ref, rtol=1e-13, atol=1e-13)
+        assert calls == [2] * 10
 
 
 def with_nan(shape):
