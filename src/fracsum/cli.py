@@ -227,7 +227,7 @@ def _poisson_setup(args):
     # the oracle's n x n eigenvectors outgrow its n**d entries at d = 1
     _check_memory(max(args.n ** args.d, args.n ** 2), args.memory_cap, "oracle")
     grids = [Grid1D(args.n)] * args.d
-    ks = KroneckerSum([laplacian_1d(args.n)] * args.d)
+    ks = KroneckerSum([laplacian_1d(args.n)] * args.d, memory_cap=args.memory_cap)
     rhs = sample_rhs(RhsSpec(kind=args.rhs, d=args.d, seed=args.seed), grids, memory_cap=args.memory_cap)
     dense = rhs if isinstance(rhs, np.ndarray) else rhs.to_dense(memory_cap=args.memory_cap)
     return ks, rhs, dense
@@ -243,7 +243,7 @@ def cmd_poisson(args) -> None:
     if args.alpha == 1.0:
         # classical sanity mode: check the diagonalization oracle against the
         # defining linear system instead of sweeping exponential sums
-        x = oracle_apply(ks, dense, 1.0, memory_cap=args.memory_cap)
+        x = oracle_apply(ks, dense, 1.0)
         residual = float(np.linalg.norm(ks.apply(x) - dense) / np.linalg.norm(dense))
         _write_rows(args.out, [(0, residual, residual)])
         print(f"alpha=1: classical mode, relative residual {residual:.3e}", file=sys.stderr)
@@ -252,7 +252,7 @@ def cmd_poisson(args) -> None:
 
     if args.format == "cp" and not isinstance(rhs, CPTensor):
         raise ValueError(f"format cp needs a low-rank rhs kind, not {args.rhs!r}")
-    x_ref = oracle_apply(ks, dense, args.alpha, memory_cap=args.memory_cap)
+    x_ref = oracle_apply(ks, dense, args.alpha)
     ref_norm = float(np.linalg.norm(x_ref))
 
     if args.sum_lengths:
@@ -295,7 +295,7 @@ def _parse_lengths(text: str):
 def _format_solver(ks, rhs, dense, args):
     """The sweep's dense solution as a function of the sum; the right-hand side is converted to the format once."""
     if args.format == "dense":
-        return lambda es: solve_dense(ks, dense, es, memory_cap=args.memory_cap)[0]
+        return lambda es: solve_dense(ks, dense, es)[0]
     if args.format == "cp":
         return lambda es: solve_cp(ks, rhs, es)[0].to_dense(memory_cap=args.memory_cap)
     if args.format == "tucker":
@@ -316,11 +316,12 @@ def cmd_rank_decay(args) -> None:
     d = 3
     _check_memory_cap(args.memory_cap)
     _check_memory(args.n ** d, args.memory_cap, "rank-decay")
+    _check_memory(args.n ** (d - 1) * args.N if "cp" in formats else 0, args.memory_cap, "cp_als Khatri-Rao product")
 
     grids = [Grid1D(args.n)] * d
-    ks = KroneckerSum([laplacian_1d(args.n)] * d)
+    ks = KroneckerSum([laplacian_1d(args.n)] * d, memory_cap=args.memory_cap)
     rhs = sample_rhs(RhsSpec(kind="random_rank1", d=d, seed=args.seed), grids)
-    x_ref = oracle_apply(ks, rhs.to_dense(memory_cap=args.memory_cap), args.alpha, memory_cap=args.memory_cap)
+    x_ref = oracle_apply(ks, rhs.to_dense(memory_cap=args.memory_cap), args.alpha)
 
     rows = []
     for rank in range(3, args.N + 1):
@@ -366,10 +367,10 @@ def cmd_tt_highd(args) -> None:
     for d in dims:
         # the train's guarded set-up runs before the n x n factors are formed
         rhs = _inv_linear_tt([Grid1D(args.n)] * d, args.memory_cap)
-        ks = KroneckerSum([laplacian_1d(args.n)] * d)
+        ks = KroneckerSum([laplacian_1d(args.n)] * d, memory_cap=args.memory_cap)
         x, report = solve_tt(ks, rhs, es, round_tol=args.round_tol)
         if d <= 4 and args.n ** d <= args.memory_cap:
-            x_ref = oracle_apply(ks, rhs.to_dense(memory_cap=args.memory_cap), args.alpha, memory_cap=args.memory_cap)
+            x_ref = oracle_apply(ks, rhs.to_dense(memory_cap=args.memory_cap), args.alpha)
             err = float(np.linalg.norm(x.to_dense(memory_cap=args.memory_cap) - x_ref) / np.linalg.norm(x_ref))
         else:
             err = math.nan  # reference infeasible; placeholder keeps the column numeric

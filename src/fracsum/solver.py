@@ -46,6 +46,8 @@ backward error, ``O(u*||A_i||)`` per factor for the unit roundoff ``u``, is
 outside the bound.
 Non-finite input fails with a ``ValueError``: factors at construction, and a
 right-hand side whose norm is not finite at the start of a solve.
+The solve paths, the oracle and the filter store read one memory cap, the
+operator's ``KroneckerSum.memory_cap``; :mod:`fracsum.tensors` says what it bounds.
 """
 
 from __future__ import annotations
@@ -97,10 +99,11 @@ class KroneckerSum:
     construction.  The factors, eigenvalues and eigenvectors are read-only
     copies, so an operator never changes after it is built, nor does a
     pickled or deep copy.  The filters of the sums applied to it are kept in
-    its private :class:`_FilterStore`.
+    its private :class:`_FilterStore`.  ``memory_cap``, at least 1 entry, is
+    the one memory cap of every solve with it and of its kept filters.
     """
 
-    def __init__(self, factors):
+    def __init__(self, factors, memory_cap: int = DEFAULT_MEMORY_CAP):
         factors = tuple(np.array(a, dtype=float) for a in factors)
         if not factors:
             raise ValueError("need at least one factor")
@@ -114,7 +117,9 @@ class KroneckerSum:
             if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
                 raise ValueError(f"factor {i} is not symmetric")
             a.flags.writeable = False
-        self._factors = factors
+        if not memory_cap >= 1:  # NaN fails too
+            raise ValueError(f"memory_cap must be at least 1, got {memory_cap}")
+        self._factors, self._memory_cap = factors, memory_cap
         self._filters = _FilterStore()
 
     def __getstate__(self):
@@ -133,6 +138,10 @@ class KroneckerSum:
     @property
     def shape(self) -> tuple:
         return tuple(a.shape[0] for a in self._factors)
+
+    @property
+    def memory_cap(self) -> int:
+        return self._memory_cap
 
     @cached_property
     def spectra(self) -> tuple:
@@ -228,12 +237,11 @@ class _FilterStore:
     filter (read by :func:`solve_dense` and every all-wide Tucker solve) and
     the train for a budget (read by :func:`solve_tt`), are kept oldest first:
     keeping a form of ``m`` entries drops the oldest forms until the kept
-    ones hold at most ``cap - m``, ``cap`` being the memory cap of the solve
-    that built it, and a form above ``cap`` is not kept.  Every kept array is
-    read-only.  The store holds no reference to its operator, so it is freed
-    with it, and a copy of the operator starts with an empty store.  Threads
-    may share it: two that miss the same form both build it, and either copy
-    is the same filter.
+    ones hold at most ``ks.memory_cap - m``, and a form above the operator's
+    cap is not kept.  Every kept array is read-only.  The store holds no
+    reference to its operator, so it is freed with it, and a copy of the
+    operator starts with an empty store.  Threads may share it: two that miss
+    the same form both build it, and either copy is the same filter.
     """
 
     def __init__(self):
@@ -249,15 +257,15 @@ class _FilterStore:
             self._factors[es] = _sum_filter(ks, es)
         return self._factors[es]
 
-    def dense(self, ks: KroneckerSum, es: ExpSum, memory_cap: int) -> np.ndarray:
+    def dense(self, ks: KroneckerSum, es: ExpSum) -> np.ndarray:
         """The densified filter."""
-        return self._form((es, None), memory_cap, lambda: self.factors(ks, es).to_dense(memory_cap))
+        return self._form(ks, (es, None), lambda: self.factors(ks, es).to_dense(ks.memory_cap))
 
     def train(self, ks: KroneckerSum, es: ExpSum, budget: float) -> TTTensor:
         """The filter as a train within ``budget`` of it, left-orthogonal as ``tensors._sweep_round`` leaves it."""
-        return self._form((es, budget), DEFAULT_MEMORY_CAP, lambda: _cp_to_tt(self.factors(ks, es).factors, budget))
+        return self._form(ks, (es, budget), lambda: _cp_to_tt(self.factors(ks, es).factors, budget))
 
-    def _form(self, key, cap: int, build):
+    def _form(self, ks: KroneckerSum, key, build):
         kept = self._forms.get(key)
         if kept is not None:
             return kept[0]
@@ -265,7 +273,7 @@ class _FilterStore:
         arrays = getattr(form, "carriages", (form,))
         for a in arrays:
             a.flags.writeable = False
-        entries = sum(a.size for a in arrays)
+        entries, cap = sum(a.size for a in arrays), ks.memory_cap
         if entries <= cap:
             with _STORE_LOCK:
                 held = self.held()
@@ -326,17 +334,17 @@ def _face_split_factors(filt: CPTensor, factors) -> list:
     return [(f[:, :, None] * u[:, None, :]).reshape(len(f), -1) for f, u in zip(filt.factors, factors)]
 
 
-def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum, memory_cap: int = DEFAULT_MEMORY_CAP):
+def solve_dense(ks: KroneckerSum, c: np.ndarray, es: ExpSum):
     """Approximate the inverse fractional power applied to a dense tensor.
 
     The filter of the sum, densified on the eigenvalue lattice, is applied
     between one rotation into the joint eigenbasis and one rotation back.
-    The operator keeps the densified filter for the next solve with an equal
-    sum, counting it against ``memory_cap``.
+    ``c`` is checked against ``ks.memory_cap`` first, and the operator keeps
+    the densified filter for the next solve with an equal sum.
     """
     c = np.asarray(c, dtype=float)
-    _check_memory(c.size, memory_cap, "dense solve")
-    return _solve(ks, es, c, lambda y: ks._filters.dense(ks, es, memory_cap) * y)
+    _check_memory(c.size, ks.memory_cap, "dense solve")
+    return _solve(ks, es, c, lambda y: ks._filters.dense(ks, es) * y)
 
 
 def solve_cp(ks: KroneckerSum, c: CPTensor, es: ExpSum):
@@ -363,21 +371,21 @@ def solve_tucker(ks: KroneckerSum, c: TuckerTensor, es: ExpSum):
     blocks) is, when every stack is wide, the operator's kept dense filter
     times ``C x_1 U_1 ... x_d U_d``.  Otherwise it is ``tensors._term_sum``
     of ``C`` and the blocks, the one term-sum kernel, which also densifies
-    CP tensors.  Both run under ``DEFAULT_MEMORY_CAP``; the core is checked
+    CP tensors.  Both run under ``ks.memory_cap``; the core is checked
     against it before the stacks are formed.
     """
     def combine(y: TuckerTensor) -> TuckerTensor:
         ranks = tuple(min(n, es.n_terms * r) for n, r in zip(y.shape, y.ranks))
-        _check_memory(math.prod(ranks), DEFAULT_MEMORY_CAP, "Tucker core")
+        _check_memory(math.prod(ranks), ks.memory_cap, "Tucker core")
         if ranks == y.shape:
-            filt = ks._filters.dense(ks, es, DEFAULT_MEMORY_CAP)
+            filt = ks._filters.dense(ks, es)
             core = multi_mode_product(y.core, y.factors)
             core *= filt
             return TuckerTensor(core=core, factors=tuple(np.eye(n) for n in ranks))
         stacks = _face_split_factors(ks._filters.factors(ks, es), y.factors)
         qs, r_blocks = zip(*((np.eye(len(b)), b) if len(b) <= b.shape[1] else np.linalg.qr(b) for b in stacks))
         # R_i as (r'_i, n_terms, r_i): term j's block along the middle axis
-        core = _term_sum(y.core, [b.reshape(len(b), es.n_terms, -1) for b in r_blocks], DEFAULT_MEMORY_CAP, "Tucker core")
+        core = _term_sum(y.core, [b.reshape(len(b), es.n_terms, -1) for b in r_blocks], ks.memory_cap, "Tucker core")
         return TuckerTensor(core=core, factors=qs)
 
     return _solve(ks, es, c, combine)
@@ -413,7 +421,8 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     rounding, is outside ``error_bound``.
 
     The operator's :class:`_FilterStore` keeps ``F_delta``, which depends
-    only on it, the sum and ``round_tol``, for the next solve.
+    only on it, the sum and ``round_tol``, for the next solve, if its
+    carriages fit ``ks.memory_cap``; the roundings' working arrays do not count.
     """
     _check_nonnegative(round_tol, "round_tol")
     half = (es.n_terms - 1) * round_tol / 2
@@ -425,14 +434,14 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
     return _solve(ks, es, c, step, allowance=(es.n_terms - 1) * round_tol)
 
 
-def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int = DEFAULT_MEMORY_CAP) -> np.ndarray:
+def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float) -> np.ndarray:
     """Exact inverse fractional power by full diagonalization.
 
     Rotates into the joint eigenbasis, scales by the eigenvalue sums raised
     to ``-alpha``, and rotates back; exact up to eigensolver accuracy.  Any
     finite ``alpha >= 0`` is accepted here (``alpha = 1`` solves the classical
     problem, ``alpha = 0`` is the identity), which makes this the reference
-    for every solve path.
+    for every solve path.  ``c`` is checked against ``ks.memory_cap`` first.
 
     It shares the eigendecomposition ``ks.spectra`` with every solve path,
     so a test or benchmark gate that compares a solve with it cannot see
@@ -445,7 +454,7 @@ def oracle_apply(ks: KroneckerSum, c: np.ndarray, alpha: float, memory_cap: int 
     c = np.asarray(c, dtype=float)
     ks._check_shape(c.shape)
     _check_nonnegative(alpha, "alpha")
-    _check_memory(c.size, memory_cap, "dense oracle")
+    _check_memory(c.size, ks.memory_cap, "dense oracle")
     _finite_norm(_normed(c)[1])
     return _in_eigenbasis(ks, c, lambda y: _eigenvalue_sums(ks) ** (-alpha) * y)
 

@@ -43,9 +43,11 @@ threads.
 
 Every call that takes a ``memory_cap`` forms no array of more entries than
 the cap; it raises :class:`MemoryCapError`, before it forms any, only where
-its result or the operands of a single term would have more.  The per-mode
-arrays an operator keeps, ``n_i x n_i`` eigenvectors and ``n_i x N`` filter
-factors, are not a call's.
+its result or the operands of a single term would have more; the solver's
+calls take the operator's ``KroneckerSum.memory_cap``.  Outside any cap are
+the per-mode arrays an operator keeps, ``n_i x n_i`` eigenvectors and
+``n_i x N`` filter factors, and the working arrays of the train roundings
+(``_sweep_round``), which grow with the ranks and ``N``, not the entries.
 :func:`tt_round`, :func:`tt_svd`, :func:`hosvd` and :func:`cp_als` reject a
 target with non-finite entries with a one-line ``ValueError``.
 """
@@ -294,16 +296,20 @@ def _term_sum(core: np.ndarray, blocks, memory_cap: int, path: str) -> np.ndarra
     trailing blocks, the leading one contracted with ``core``, meet in one
     matrix product that also sums the terms, in chunks of as many terms as
     keep every operand within ``N * prod(n[h:])`` entries and ``memory_cap``,
-    one at least.  A :class:`MemoryCapError` names ``path``.
+    one at least; where one term's exceed it, :func:`multi_mode_product` takes
+    the terms one at a time.  A :class:`MemoryCapError` names ``path``.
     """
-    h, n_terms = len(blocks) // 2, blocks[0].shape[1]
+    h, n_terms, extents = len(blocks) // 2, blocks[0].shape[1], [len(b) for b in blocks]
     # per term: the lead operand is rows[0] x cols[0], its product with the core rows[0] x cols[1],
     # the trailing operand rows[1] x cols[1]; per_term is at least 1 where an extent is 0
-    rows = (math.prod(len(b) for b in blocks[:h]), math.prod(len(b) for b in blocks[h:]))
+    rows = (math.prod(extents[:h]), math.prod(extents[h:]))
     cols = (math.prod(core.shape[:h]), math.prod(core.shape[h:]))
     per_term = max(rows[0] * cols[0], rows[0] * cols[1], rows[1] * cols[1], 1)
-    chunk = max(1, min(n_terms, min(n_terms * rows[1], memory_cap) // per_term))
-    _check_memory(max(rows[0] * rows[1], chunk * per_term), memory_cap, path)
+    if per_term > memory_cap:  # a term's products after 1 .. d modes must fit; the last is the result
+        _check_memory(max(math.prod(extents[:k]) * math.prod(core.shape[k:]) for k in range(1, len(extents) + 1)), memory_cap, path)
+        return sum((multi_mode_product(core, [b[:, j] for b in blocks]) for j in range(n_terms)), np.zeros(extents))
+    chunk = max(1, min(n_terms, min(n_terms * rows[1], memory_cap) // per_term))  # chunk * per_term fits
+    _check_memory(rows[0] * rows[1], memory_cap, path)
 
     def chunk_sum(lo):
         k = min(chunk, n_terms - lo)
@@ -313,7 +319,7 @@ def _term_sum(core: np.ndarray, blocks, memory_cap: int, path: str) -> np.ndarra
         return np.dot(lead, core.reshape(cols)).reshape(rows[0], k * cols[1]) @ trail.T
 
     # no terms still make one chunk, of zeros
-    return reduce(np.ndarray.__iadd__, map(chunk_sum, range(0, max(n_terms, 1), chunk))).reshape([len(b) for b in blocks])
+    return reduce(np.ndarray.__iadd__, map(chunk_sum, range(0, max(n_terms, 1), chunk))).reshape(extents)
 
 
 # cp_als: sweeps per run, stopping tolerance relative to ||x||, and runs

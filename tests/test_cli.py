@@ -159,6 +159,25 @@ class TestPoisson:
         assert run(["poisson", "--rhs", "random_rank1", "--n", 8, "--out", dense]) == 0
         np.testing.assert_allclose(load(cp), load(dense), rtol=1e-10, atol=0)
 
+    def test_tucker_solves_form_no_operand_above_the_cap(self, tmp_path, monkeypatch):
+        # at n = 32 the HOSVD ranks are (9, 9, 9): 3 terms take the tall route, whose one-term
+        # operands (59,049 entries) exceed the cap, 4 and 150 the all-wide one, whose filter
+        # densification takes 150 * 1024 entries in one chunk at the default cap
+        capped, free = tmp_path / "capped.dat", tmp_path / "free.dat"
+        args = ["poisson", "--format", "tucker", "--n", 32, "--sum-lengths", "3,4,150"]
+        assert run(args + ["--out", free]) == 0
+        sizes, kron = [], fracsum.tensors._term_kron
+
+        def recorded(blocks, n_terms):
+            out = kron(blocks, n_terms)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(fracsum.tensors, "_term_kron", recorded)
+        assert run(args + ["--memory-cap", 32768, "--out", capped]) == 0
+        assert sizes and max(sizes) <= 32768
+        np.testing.assert_allclose(load(capped), load(free), rtol=1e-10, atol=0)
+
     def test_one_dimensional_factor_counted_against_the_cap(self, tmp_path, capsys, monkeypatch):
         # n**d is 1000 entries, but the factor and the oracle's eigenvectors are n x n
         def reached(*args, **kwargs):
@@ -207,6 +226,15 @@ class TestRankDecay:
         data = load(out)
         assert np.all(np.isnan(data[:, 1]))
         assert np.all(np.isfinite(data[:, 3]))
+
+    @pytest.mark.parametrize("formats, code", [("cp", 3), ("tucker,tt", 0)])
+    def test_cp_fits_counted_against_the_cap(self, tmp_path, formats, code, capsys):
+        # n**3 = 512 entries fit the cap; cp_als's Khatri-Rao product of two factors at rank 12 has 768
+        out = tmp_path / "x.dat"
+        assert run(["rank-decay", "--n", 8, "--N", 12, "--memory-cap", 512, "--format", formats, "--out", out]) == code
+        if code:
+            assert capsys.readouterr().err == "fracsum: cp_als Khatri-Rao product needs 768 entries, cap is 512\n"
+            assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"

@@ -52,6 +52,12 @@ class TestKroneckerSum:
         with pytest.raises(ValueError, match=r"^factor 1 is empty$"):
             KroneckerSum([np.eye(2), np.zeros((0, 0))])
 
+    @pytest.mark.parametrize("cap", [0, -5, 0.5, float("nan")])
+    def test_rejects_a_memory_cap_below_one_in_one_line(self, cap):
+        with pytest.raises(ValueError, match=rf"^memory_cap must be at least 1, got {cap}$"):
+            KroneckerSum([np.eye(2)], memory_cap=cap)
+        assert KroneckerSum([np.eye(2)], memory_cap=1).memory_cap == 1
+
     def test_rejects_indefinite_on_first_spectral_use(self):
         ks = KroneckerSum([np.diag([1.0, -0.5])])
         with pytest.raises(ValueError):
@@ -76,9 +82,10 @@ class TestKroneckerSum:
         rng = np.random.default_rng(3)
         ks = KroneckerSum([random_spd(rng, n) for n in (4, 5, 3)])
         solve_tt(ks, tt_svd(rng.standard_normal(ks.shape), tol=0.0), make_es(), round_tol=1e-10)
-        assert set(vars(ks)) == {"_factors", "spectra", "_filters"}
-        # the store holds the train within the cap of solve_tt, which takes none
-        assert 0 < ks._filters.held() <= tensors.DEFAULT_MEMORY_CAP
+        assert set(vars(ks)) == {"_factors", "_memory_cap", "spectra", "_filters"}
+        # the store holds the train within the operator's cap, the default one here
+        assert ks.memory_cap == tensors.DEFAULT_MEMORY_CAP
+        assert 0 < ks._filters.held() <= ks.memory_cap
         assert not any(callable(getattr(f, "cache_info", None)) for f in vars(solver).values())
 
     @pytest.mark.parametrize("copy_of", [lambda ks: pickle.loads(pickle.dumps(ks)), copy.deepcopy], ids=["pickle", "deepcopy"])
@@ -156,15 +163,14 @@ class TestSolveDense:
         np.testing.assert_allclose(x2, s**-0.3 * x1, rtol=1e-11)
 
     def test_memory_cap(self):
-        ks = KroneckerSum([np.eye(8)] * 3)
-        with pytest.raises(MemoryCapError):
-            solve_dense(ks, np.zeros((8, 8, 8)), make_es(), memory_cap=100)
-        x, _ = solve_dense(ks, np.zeros((8, 8, 8)), make_es(), memory_cap=512)
+        with pytest.raises(MemoryCapError, match=r"^dense solve needs 512 entries, cap is 511$"):
+            solve_dense(KroneckerSum([np.eye(8)] * 3, memory_cap=511), np.zeros((8, 8, 8)), make_es())
+        x, _ = solve_dense(KroneckerSum([np.eye(8)] * 3, memory_cap=512), np.zeros((8, 8, 8)), make_es())
         assert x.shape == (8, 8, 8)
 
     def test_no_operand_of_the_filter_exceeds_the_cap(self, monkeypatch):
         # 20 terms of a 64-entry trailing operand: 1280 entries in one chunk, so the cap splits them 16 + 4
-        ks = KroneckerSum([laplacian_1d(8)] * 3)
+        ks = KroneckerSum([laplacian_1d(8)] * 3, memory_cap=1024)
         c = np.random.default_rng(8).standard_normal(ks.shape)
         es = build_expsum(params_for_terms(0.5, 20))
         want, _ = solve_dense(KroneckerSum(ks.factors), c, es)
@@ -176,7 +182,7 @@ class TestSolveDense:
             return out
 
         monkeypatch.setattr(tensors, "_term_kron", recorded)
-        x, _ = solve_dense(ks, c, es, memory_cap=1024)
+        x, _ = solve_dense(ks, c, es)
         assert sizes == [16 * 8, 16 * 64, 4 * 8, 4 * 64]
         np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
@@ -380,6 +386,30 @@ class TestSolveTucker:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_no_operand_of_the_term_sum_exceeds_the_cap(self, monkeypatch):
+        # a wide stack on mode 0 (4 <= 10 columns) and tall ones on modes 1 and 2 (16 > 10): the core
+        # (4, 10, 10) is the term sum, whose 10 terms of a 100-entry trailing operand take one 1000-entry
+        # chunk at the default cap; the operator's cap of 400, the core's entries, splits them 4 + 4 + 2
+        shape = (4, 16, 16)
+        rng = np.random.default_rng(33)
+        factors = [random_spd(rng, n) for n in shape]
+        es = build_expsum(params_for_terms(0.5, 10))
+        c = TuckerTensor(core=np.full((1, 1, 1), 1.5), factors=tuple(np.linalg.qr(rng.standard_normal((n, 1)))[0] for n in shape))
+        want, _ = solve_tucker(KroneckerSum(factors), c, es)
+        sizes, kron = [], tensors._term_kron
+
+        def recorded(blocks, n_terms):
+            out = kron(blocks, n_terms)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(tensors, "_term_kron", recorded)
+        x, report = solve_tucker(KroneckerSum(factors, memory_cap=400), c, es)
+        assert x.ranks == report.ranks == (4, 10, 10)
+        assert sizes == [4 * 4, 4 * 100, 4 * 4, 4 * 100, 2 * 4, 2 * 100]
+        for got, ref in zip((x.core, *x.factors), (want.core, *want.factors)):
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
 
 class TestSolveTT:
@@ -673,15 +703,15 @@ class TestFilterStore:
 
     def test_a_cap_of_two_dense_forms_drops_the_oldest(self, counted):
         factors = self._factors()
-        ks = KroneckerSum(factors)
+        cap = 2 * 8**3
+        ks = KroneckerSum(factors, memory_cap=cap)
         sums = [build_expsum(params_for_terms(0.5, n)) for n in (10, 20, 30)]
         c = np.random.default_rng(28).standard_normal(ks.shape)
-        cap = 2 * c.size
         order = sums + sums[:2] + sums[1:2]
         got, densified = [], []
         for es in order:
             before = counted["densify"]
-            got.append(solve_dense(ks, c, es, memory_cap=cap))
+            got.append(solve_dense(ks, c, es))
             densified.append(counted["densify"] - before)
             assert ks._filters.held() <= cap
         # sum 2 drops sum 0, which drops sum 1 when it comes back; sum 1 back drops sum 2 and is then kept
@@ -689,17 +719,19 @@ class TestFilterStore:
         assert [key[0] for key in ks._filters._forms] == sums[:2]
         assert counted["build"] == 3
         for es, x in zip(order, got):
-            assert _same_solve(x, solve_dense(KroneckerSum(factors), c, es, memory_cap=cap))
+            assert _same_solve(x, solve_dense(KroneckerSum(factors, memory_cap=cap), c, es))
 
     def test_a_dense_form_under_a_tight_cap_drops_the_train(self):
-        ks = KroneckerSum(self._factors())
+        # the cap holds one dense form or the 280-entry train, not both
+        ks = KroneckerSum(self._factors(), memory_cap=8**3)
         c = np.random.default_rng(29).standard_normal(ks.shape)
         es = build_expsum(params_for_terms(0.5, 10))
-        solve_dense(ks, c, es)
         solve_tt(ks, tt_svd(c, tol=0.0), es, round_tol=1e-10)
-        assert len(ks._filters._forms) == 2
-        # only the dense form fits this cap, so keeping it drops the train
-        solve_dense(ks, c, build_expsum(params_for_terms(0.5, 20)), memory_cap=c.size)
+        assert [key[1] for key in ks._filters._forms] == [(es.n_terms - 1) * 1e-10 / 2]
+        assert 0 < ks._filters.held() < c.size
+        # keeping the dense form drops the train
+        solve_dense(ks, c, es)
+        assert list(ks._filters._forms) == [(es, None)]
         assert ks._filters.held() == c.size
 
     def test_kept_arrays_are_read_only(self):
@@ -716,6 +748,20 @@ class TestFilterStore:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
 
+    def test_a_train_above_the_cap_is_not_kept(self):
+        # the 280-entry train of the sum does not fit a cap of 279; the solve is the default-cap one
+        factors = self._factors()
+        c = tt_svd(np.random.default_rng(34).standard_normal((8, 8, 8)), tol=0.0)
+        es = build_expsum(params_for_terms(0.5, 10))
+        default = KroneckerSum(factors)
+        want, _ = solve_tt(default, c, es, round_tol=1e-10)
+        assert default._filters.held() == 280
+        ks = KroneckerSum(factors, memory_cap=279)
+        x, _ = solve_tt(ks, c, es, round_tol=1e-10)
+        assert ks._filters.held() == 0 and not ks._filters._forms
+        assert [a.shape for a in x.carriages] == [a.shape for a in want.carriages]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(x.carriages, want.carriages))
+
     def test_a_kept_train_dies_with_its_operator(self):
         ks = KroneckerSum(self._factors())
         es = build_expsum(params_for_terms(0.5, 10))
@@ -727,16 +773,16 @@ class TestFilterStore:
 
     def test_threads_sharing_a_store_keep_it_within_the_cap(self):
         factors = self._factors()
-        ks = KroneckerSum(factors)
+        cap = 2 * 8**3
+        ks = KroneckerSum(factors, memory_cap=cap)
         sums = [build_expsum(params_for_terms(0.5, n)) for n in (10, 20, 30)]
         c = np.random.default_rng(31).standard_normal(ks.shape)
-        cap = 2 * c.size
-        want = {es: solve_dense(KroneckerSum(factors), c, es, memory_cap=cap) for es in sums}
+        want = {es: solve_dense(KroneckerSum(factors, memory_cap=cap), c, es) for es in sums}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(solve_dense, ks, c, sums[i % 3], cap) for i in range(60)]
+                futures = [pool.submit(solve_dense, ks, c, sums[i % 3]) for i in range(60)]
                 got = [(f.result(timeout=60), sums[i % 3]) for i, f in enumerate(futures)]
         finally:
             sys.setswitchinterval(interval)
@@ -829,9 +875,9 @@ class TestOracle:
         assert np.linalg.norm(vec(oracle_apply(ks, c, alpha)) - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_memory_cap(self):
-        ks = KroneckerSum([np.eye(8)] * 3)
-        with pytest.raises(MemoryCapError):
-            oracle_apply(ks, np.zeros((8, 8, 8)), 0.5, memory_cap=100)
+        with pytest.raises(MemoryCapError, match=r"^dense oracle needs 512 entries, cap is 511$"):
+            oracle_apply(KroneckerSum([np.eye(8)] * 3, memory_cap=511), np.zeros((8, 8, 8)), 0.5)
+        assert oracle_apply(KroneckerSum([np.eye(8)] * 3, memory_cap=512), np.ones((8, 8, 8)), 0.5).shape == (8, 8, 8)
 
 
 class TestExpKronApply:

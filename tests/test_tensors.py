@@ -737,6 +737,16 @@ class TestTermSum:
         np.testing.assert_allclose(_term_sum(core, blocks, 17, "term sum"), ref, rtol=1e-13, atol=1e-13)
         assert calls == [2] * 10
 
+    def test_one_term_above_the_cap_takes_the_terms_by_mode_products(self, monkeypatch):
+        # 4 terms on (3, 6, 6) extents from a (2, 3, 3) core: one term's trailing operand has
+        # 36 * 9 = 324 entries, its mode products at most 108, the result's
+        blocks, core = self.blocks((3, 6, 6), 4, (2, 3, 3), 43), rand((2, 3, 3), 44)
+        monkeypatch.setattr(tensors, "_term_kron", lambda *args: pytest.fail("an operand was formed"))
+        with pytest.raises(MemoryCapError, match=r"^term sum needs 108 entries, cap is 107$"):
+            _term_sum(core, blocks, 107, "term sum")
+        ref = sum(multi_mode_product(core, [b[:, j, :] for b in blocks]) for j in range(4))
+        np.testing.assert_allclose(_term_sum(core, blocks, 108, "term sum"), ref, rtol=1e-13, atol=1e-13)
+
 
 def with_nan(shape):
     x = rand(shape, 7)
