@@ -316,7 +316,6 @@ def cmd_rank_decay(args) -> None:
     d = 3
     _check_memory_cap(args.memory_cap)
     _check_memory(args.n ** d, args.memory_cap, "rank-decay")
-    _check_memory(args.n ** (d - 1) * args.N if "cp" in formats else 0, args.memory_cap, "cp_als Khatri-Rao product")
 
     grids = [Grid1D(args.n)] * d
     ks = KroneckerSum([laplacian_1d(args.n)] * d, memory_cap=args.memory_cap)
@@ -331,7 +330,7 @@ def cmd_rank_decay(args) -> None:
         dist = {}
         if "cp" in formats:
             fit = cp_als(x_ref, rank, rng=np.random.default_rng(args.seed + rank), init=constructive)
-            dist["cp"] = float(np.linalg.norm(x_ref - fit.to_dense(memory_cap=args.memory_cap)))
+            dist["cp"] = float(np.linalg.norm(x_ref - fit.to_dense(memory_cap=x_ref.size)))  # as cp_als measures, under any cap
         if "tucker" in formats:
             dist["tucker"] = float(np.linalg.norm(x_ref - hosvd(x_ref, ranks=rank).to_dense(memory_cap=args.memory_cap)))
         if "tt" in formats:

@@ -36,8 +36,8 @@ Around those steps every solve path runs one protocol, written once in
 ``_solve``, and adds only its own input checks and its entrywise step.  The
 clock starts after the eigendecompositions, which run once per operator, so
 ``wall_time`` excludes them and includes everything in the steps, such as
-building a filter the first time the operator meets that sum and form.
-``error_bound`` is
+building a filter the first time the operator meets that sum and form, or in
+every solve for a form not kept.  ``error_bound`` is
 ``lambda_min**(-alpha) * (certified_bound(es) + sqrt(tiny) * sum(w)) * ||c||_F``
 plus a path's allowance times ``||c||_F`` (only the train path has one, for
 recompression); the ``sqrt(tiny)`` term covers the filter entries that
@@ -235,10 +235,9 @@ class _FilterStore:
     factors :func:`_sum_filter` builds are kept for every sum met,
     ``sum(n_i) * N`` entries each.  The forms derived from them, the dense
     filter (read by :func:`solve_dense` and every all-wide Tucker solve) and
-    the train for a budget (read by :func:`solve_tt`), are kept oldest first:
-    keeping a form of ``m`` entries drops the oldest forms until the kept
-    ones hold at most ``ks.memory_cap - m``, and a form above the operator's
-    cap is not kept.  Every kept array is read-only.  The store holds no
+    the train for a budget (read by :func:`solve_tt`), are kept if and only
+    if they fit beside the kept ones within ``ks.memory_cap``; no kept form is
+    ever dropped.  Every kept array is read-only.  The store holds no
     reference to its operator, so it is freed with it, and a copy of the
     operator starts with an empty store.  Threads may share it: two that miss
     the same form both build it, and either copy is the same filter.
@@ -246,7 +245,7 @@ class _FilterStore:
 
     def __init__(self):
         self._factors = {}  # sum -> CPTensor
-        self._forms = {}  # (sum, None) -> dense, (sum, budget) -> train; as (form, entries), oldest first
+        self._forms = {}  # (sum, None) -> dense, (sum, budget) -> train; as (form, entries)
 
     def held(self) -> int:
         """Entries of the kept dense and train forms; read it under ``_STORE_LOCK`` where threads share the store."""
@@ -266,21 +265,15 @@ class _FilterStore:
         return self._form(ks, (es, budget), lambda: _cp_to_tt(self.factors(ks, es).factors, budget))
 
     def _form(self, ks: KroneckerSum, key, build):
-        kept = self._forms.get(key)
-        if kept is not None:
-            return kept[0]
+        if key in self._forms:  # a kept form is never dropped
+            return self._forms[key][0]
         form = build()
         arrays = getattr(form, "carriages", (form,))
         for a in arrays:
             a.flags.writeable = False
-        entries, cap = sum(a.size for a in arrays), ks.memory_cap
-        if entries <= cap:
-            with _STORE_LOCK:
-                held = self.held()
-                for old in list(self._forms):  # oldest first
-                    if held + entries <= cap:
-                        break
-                    held -= self._forms.pop(old)[1]
+        entries = sum(a.size for a in arrays)
+        with _STORE_LOCK:
+            if self.held() + entries <= ks.memory_cap:
                 self._forms[key] = (form, entries)
         return form
 

@@ -44,10 +44,11 @@ threads.
 Every call that takes a ``memory_cap`` forms no array of more entries than
 the cap; it raises :class:`MemoryCapError`, before it forms any, only where
 its result or the operands of a single term would have more; the solver's
-calls take the operator's ``KroneckerSum.memory_cap``.  Outside any cap are
-the per-mode arrays an operator keeps, ``n_i x n_i`` eigenvectors and
-``n_i x N`` filter factors, and the working arrays of the train roundings
-(``_sweep_round``), which grow with the ranks and ``N``, not the entries.
+calls take the operator's ``KroneckerSum.memory_cap``.  :func:`cp_als` takes
+none: no array it forms but its ``rank x rank`` Grams exceeds its target.
+Outside any cap are the per-mode arrays an operator keeps, ``n_i x n_i``
+eigenvectors and ``n_i x N`` filter factors, and the working arrays of the
+train roundings (``_sweep_round``), which grow with the ranks and ``N``.
 :func:`tt_round`, :func:`tt_svd`, :func:`hosvd` and :func:`cp_als` reject a
 target with non-finite entries with a one-line ``ValueError``.
 """
@@ -293,11 +294,12 @@ def _term_sum(core: np.ndarray, blocks, memory_cap: int, path: str) -> np.ndarra
     """``sum_j core x_1 B_1j ... x_d B_dj`` as a dense tensor, block ``i`` of shape ``(n_i, N, r_i)``, ``B_ij = blocks[i][:, j, :]``.
 
     The :func:`_term_kron` products of the leading ``h = d // 2`` and the
-    trailing blocks, the leading one contracted with ``core``, meet in one
-    matrix product that also sums the terms, in chunks of as many terms as
-    keep every operand within ``N * prod(n[h:])`` entries and ``memory_cap``,
-    one at least; where one term's exceed it, :func:`multi_mode_product` takes
-    the terms one at a time.  A :class:`MemoryCapError` names ``path``.
+    trailing blocks, the leading one contracted with ``core`` (a one-entry
+    core scales the first block), meet in one matrix product that also sums
+    the terms, in chunks of as many terms as keep every operand within
+    ``N * prod(n[h:])`` entries and ``memory_cap``, one at least; where one
+    term's exceed it, :func:`multi_mode_product` takes the terms one at a
+    time.  A :class:`MemoryCapError` names ``path``.
     """
     h, n_terms, extents = len(blocks) // 2, blocks[0].shape[1], [len(b) for b in blocks]
     # per term: the lead operand is rows[0] x cols[0], its product with the core rows[0] x cols[1],
@@ -313,10 +315,12 @@ def _term_sum(core: np.ndarray, blocks, memory_cap: int, path: str) -> np.ndarra
 
     def chunk_sum(lo):
         k = min(chunk, n_terms - lo)
-        lead = _term_kron([b[:, lo:lo + k] for b in blocks[:h]], k).reshape(rows[0] * k, cols[0])
-        trail = _term_kron([b[:, lo:lo + k] for b in blocks[h:]], k).reshape(rows[1], k * cols[1])
-        # np.dot, unlike @, takes a one-entry core as a scalar, on BLAS
-        return np.dot(lead, core.reshape(cols)).reshape(rows[0], k * cols[1]) @ trail.T
+        parts = [b[:, lo:lo + k] for b in blocks]
+        if core.size == 1:  # scale the first block rather than its product with the other leading blocks
+            parts[0] = parts[0] * core.item()
+        lead = _term_kron(parts[:h], k).reshape(rows[0] * k, cols[0])
+        trail = _term_kron(parts[h:], k).reshape(rows[1], k * cols[1])
+        return (lead if core.size == 1 else lead @ core.reshape(cols)).reshape(rows[0], k * cols[1]) @ trail.T
 
     # no terms still make one chunk, of zeros
     return reduce(np.ndarray.__iadd__, map(chunk_sum, range(0, max(n_terms, 1), chunk))).reshape(extents)
@@ -331,13 +335,14 @@ def cp_als(x: np.ndarray, rank: int, rng=None, init: CPTensor | None = None) -> 
 
     Runs ``_ALS_RESTARTS`` (5) independent sweeps (the first seeded with
     ``init`` when given, the rest with random unit-normal factors) and keeps
-    the fit closest to ``x``, measured on the densified fit.  Each mode
-    update solves regularized normal equations (ridge 1e-12), so a
-    rank-deficient iterate cannot abort the sweep, and the fit error is
-    nonincreasing over the sweeps of one run up to that regularization.  A
-    run stops when the change of its fit error, read off the Gram identity,
-    drops below ``_ALS_TOL*||x||`` (1e-12) or after ``_ALS_MAX_ITERS`` (100)
-    sweeps.
+    the fit closest to ``x``, measured on the fit densified under ``x.size``;
+    the MTTKRP of mode ``i`` takes the Khatri-Rao product of the other
+    factors ``n_i`` columns at a time.  Each mode update solves regularized
+    normal equations (ridge 1e-12), so a rank-deficient iterate cannot abort
+    the sweep, and the fit error is nonincreasing over the sweeps of one run
+    up to that regularization.  A run stops when the change of its fit
+    error, read off the Gram identity, drops below ``_ALS_TOL*||x||``
+    (1e-12) or after ``_ALS_MAX_ITERS`` (100) sweeps.
 
     Parameters
     ----------
@@ -372,8 +377,10 @@ def cp_als(x: np.ndarray, rank: int, rng=None, init: CPTensor | None = None) -> 
         prev_err = np.inf
         for _ in range(_ALS_MAX_ITERS):
             for i in range(d):
-                others = [factors[j][:, :, None] for j in reversed(range(d)) if j != i]
-                mttkrp = unfoldings[i] @ _term_kron(others, rank).reshape(-1, rank)
+                others, n = [factors[j] for j in reversed(range(d)) if j != i], x.shape[i]
+                # the Khatri-Rao product of the others, k <= n_i columns at a time: at most x.size entries
+                mttkrp = np.hstack([unfoldings[i] @ _term_kron([f[:, lo:lo + k, None] for f in others], k).reshape(-1, k)
+                                    for lo in range(0, rank, n) for k in [min(n, rank - lo)]])
                 gram = _gram_product([grams[j] for j in range(d) if j != i])
                 factors[i] = np.linalg.solve(gram + 1e-12 * np.eye(rank), mttkrp.T).T
                 grams[i] = factors[i].T @ factors[i]
@@ -386,7 +393,7 @@ def cp_als(x: np.ndarray, rank: int, rng=None, init: CPTensor | None = None) -> 
                 break
             prev_err = err
         fit = CPTensor(tuple(factors))
-        err = np.linalg.norm(x - fit.to_dense())
+        err = np.linalg.norm(x - fit.to_dense(x.size))
         if err < best_err:
             best, best_err = fit, err
     return best

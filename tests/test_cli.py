@@ -227,14 +227,27 @@ class TestRankDecay:
         assert np.all(np.isnan(data[:, 1]))
         assert np.all(np.isfinite(data[:, 3]))
 
-    @pytest.mark.parametrize("formats, code", [("cp", 3), ("tucker,tt", 0)])
-    def test_cp_fits_counted_against_the_cap(self, tmp_path, formats, code, capsys):
-        # n**3 = 512 entries fit the cap; cp_als's Khatri-Rao product of two factors at rank 12 has 768
-        out = tmp_path / "x.dat"
-        assert run(["rank-decay", "--n", 8, "--N", 12, "--memory-cap", 512, "--format", formats, "--out", out]) == code
-        if code:
-            assert capsys.readouterr().err == "fracsum: cp_als Khatri-Rao product needs 768 entries, cap is 512\n"
-            assert not out.exists()
+    @pytest.mark.parametrize("formats", ["cp", "tucker,tt"])
+    def test_cp_fits_form_no_operand_above_the_cap(self, tmp_path, formats, monkeypatch):
+        # n**3 = 512 entries fit the cap; at rank 12 cp_als takes the Khatri-Rao product of two
+        # factors 8 columns at a time (512 entries), not in one 768-entry operand
+        capped, free = tmp_path / "capped.dat", tmp_path / "free.dat"
+        args = ["rank-decay", "--n", 8, "--N", 12, "--format", formats]
+        assert run(args + ["--out", free]) == 0
+        sizes, kron = [], fracsum.tensors._term_kron
+
+        def recorded(blocks, n_terms):
+            out = kron(blocks, n_terms)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(fracsum.tensors, "_term_kron", recorded)
+        assert run(args + ["--memory-cap", 512, "--out", capped]) == 0
+        assert sizes and max(sizes) <= 512
+        np.testing.assert_allclose(load(capped), load(free), rtol=1e-10, atol=0)
+        if formats == "cp":
+            assert 8 * 8 * 12 not in sizes
+            assert load(capped)[:, 1].tobytes() == load(free)[:, 1].tobytes()
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"

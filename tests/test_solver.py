@@ -701,7 +701,7 @@ class TestFilterStore:
         assert x.ranks == report.ranks == ks.shape
         assert all(np.array_equal(f, q) for f, (_, q) in zip(x.factors, ks.spectra))
 
-    def test_a_cap_of_two_dense_forms_drops_the_oldest(self, counted):
+    def test_a_cap_of_two_dense_forms_keeps_the_first_two(self, counted):
         factors = self._factors()
         cap = 2 * 8**3
         ks = KroneckerSum(factors, memory_cap=cap)
@@ -714,25 +714,29 @@ class TestFilterStore:
             got.append(solve_dense(ks, c, es))
             densified.append(counted["densify"] - before)
             assert ks._filters.held() <= cap
-        # sum 2 drops sum 0, which drops sum 1 when it comes back; sum 1 back drops sum 2 and is then kept
-        assert densified == [1, 1, 1, 1, 1, 0]
+        # sum 2 does not fit beside sums 0 and 1, so it is densified and not kept; 0 and 1 stay
+        assert densified == [1, 1, 1, 0, 0, 0]
         assert [key[0] for key in ks._filters._forms] == sums[:2]
         assert counted["build"] == 3
+        # under the cap the filters densify in chunks, so the reference is a fresh operator with the same cap
         for es, x in zip(order, got):
             assert _same_solve(x, solve_dense(KroneckerSum(factors, memory_cap=cap), c, es))
 
-    def test_a_dense_form_under_a_tight_cap_drops_the_train(self):
+    def test_a_dense_form_that_does_not_fit_beside_the_train_is_not_kept(self):
         # the cap holds one dense form or the 280-entry train, not both
-        ks = KroneckerSum(self._factors(), memory_cap=8**3)
+        factors = self._factors()
+        ks = KroneckerSum(factors, memory_cap=8**3)
         c = np.random.default_rng(29).standard_normal(ks.shape)
         es = build_expsum(params_for_terms(0.5, 10))
         solve_tt(ks, tt_svd(c, tol=0.0), es, round_tol=1e-10)
-        assert [key[1] for key in ks._filters._forms] == [(es.n_terms - 1) * 1e-10 / 2]
-        assert 0 < ks._filters.held() < c.size
-        # keeping the dense form drops the train
-        solve_dense(ks, c, es)
-        assert list(ks._filters._forms) == [(es, None)]
-        assert ks._filters.held() == c.size
+        train = [(es, (es.n_terms - 1) * 1e-10 / 2)]
+        assert list(ks._filters._forms) == train
+        assert ks._filters.held() == 280
+        # the kept train stays, and the dense form is built for the solve only
+        x = solve_dense(ks, c, es)
+        assert list(ks._filters._forms) == train
+        assert ks._filters.held() == 280
+        assert _same_solve(x, solve_dense(KroneckerSum(factors, memory_cap=8**3), c, es))
 
     def test_kept_arrays_are_read_only(self):
         ks = KroneckerSum(self._factors())

@@ -686,6 +686,25 @@ class TestCP:
             fit_prev = fit
         assert err[3] <= err[2] + 1e-12
 
+    def test_als_forms_no_operand_above_its_target(self, monkeypatch):
+        # at rank 12 the Khatri-Rao product of two 8 x 12 factors has 768 entries, above the target's 512:
+        # it is taken 8 columns at a time, and each fit densifies under 512 entries
+        rng = np.random.default_rng(35)
+        exact = CPTensor(tuple(rng.standard_normal((8, 12)) for _ in range(3)))
+        x = exact.to_dense()
+        sizes, kron = [], tensors._term_kron
+
+        def recorded(blocks, n_terms):
+            out = kron(blocks, n_terms)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(tensors, "_term_kron", recorded)
+        fit = cp_als(x, rank=12, rng=4, init=exact)
+        assert sizes and max(sizes) <= x.size
+        monkeypatch.undo()
+        assert np.linalg.norm(fit.to_dense() - x) <= 1e-10 * np.linalg.norm(x)
+
     def test_als_validates_rank(self):
         with pytest.raises(ValueError):
             cp_als(rand((3, 3), 1), rank=0)
