@@ -453,10 +453,10 @@ def _params_at(alpha: float, h: float, n_minus: int, n_plus: int) -> ExpSumParam
 
     def at(log_inv_eps):
         eps = math.exp(-log_inv_eps)
-        d = h * math.log(1.0 / eps) / (2.0 * math.pi)
-        try:
+        try:  # an eps that underflows to 0 is as inadmissible as one ExpSumParams rejects
+            d = h * math.log(1.0 / eps) / (2.0 * math.pi)
             return ExpSumParams(alpha=alpha, eps=eps, d=d, n_minus=n_minus, n_plus=n_plus)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             return None
 
     widest = 2.0 * math.pi * _widest_strip(alpha) / h

@@ -22,15 +22,16 @@ a :class:`fracsum.tensors.CPTensor` whose mode-0 factor carries the scaled
 weights ``lambda_min**(-alpha) * w_j``; the exact reference
 :func:`oracle_apply` uses ``F = (sum_i Lambda_i)**(-alpha)``.  ``F`` depends
 only on the operator and the sum, so each operator keeps its filters in a
-:class:`_FilterStore`: the factors of ``F`` are built the first time the
-operator meets the sum, and each form derived from them the first time a
-path asks for it.  A path supplies only its entrywise product with ``F``:
-dense tensors multiply ``F`` densified, and so does a Tucker core when
-``N * r_i >= n_i`` in every mode; other CP and Tucker factors are scaled term
-by term along their mode index by the factors of ``F`` (Tucker orthogonalizes
-by QR only the modes where ``n_i > N * r_i`` and sums the terms of its core by
-``tensors._term_sum``, the kernel that also densifies ``F``); tensor trains
-are multiplied by ``F`` written as a compressed train for a budget.
+:class:`_FilterStore`: each form of ``F``, its factors, dense or a train, is
+built the first time a path asks for it, and kept if it fits the operator's
+memory cap beside the forms kept before.  A path supplies only its entrywise
+product with ``F``: dense tensors multiply ``F`` densified, and so does a
+Tucker core when ``N * r_i >= n_i`` in every mode; other CP and Tucker
+factors are scaled term by term along their mode index by the factors of
+``F`` (Tucker orthogonalizes by QR only the modes where ``n_i > N * r_i`` and
+sums the terms of its core by ``tensors._term_sum``, the kernel that also
+densifies ``F``); tensor trains are multiplied by ``F`` written as a
+compressed train for a budget.
 
 Around those steps every solve path runs one protocol, written once in
 ``_solve``, and adds only its own input checks and its entrywise step.  The
@@ -100,7 +101,7 @@ class KroneckerSum:
     copies, so an operator never changes after it is built, nor does a
     pickled or deep copy.  The filters of the sums applied to it are kept in
     its private :class:`_FilterStore`.  ``memory_cap``, at least 1 entry, is
-    the one memory cap of every solve with it and of its kept filters.
+    the one memory cap of every solve with it and of all its kept filters.
     """
 
     def __init__(self, factors, memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -212,15 +213,14 @@ def _sum_filter(ks: KroneckerSum, es: ExpSum) -> CPTensor:
     ``lambda_min**(-alpha) * w_j``.  Every factor entry is at most 1, so a
     term with a dropped entry is below ``w_j * sqrt(tiny)`` at every lattice
     point: the filter moves by at most ``lambda_min**(-alpha) * sqrt(tiny) *
-    sum(w)`` entrywise, which ``_solve`` adds to ``error_bound``.
+    sum(w)`` entrywise, which ``_solve`` adds to ``error_bound``.  Solves
+    read it through the operator's :class:`_FilterStore`, which makes it read-only.
     """
     lam_min = ks.lambda_min
     factors = [np.exp(-np.outer(lam / lam_min, es.exponents)) for lam, _ in ks.spectra]
     for f in factors:
         f[f < math.sqrt(np.finfo(float).tiny)] = 0.0
     factors[0] = factors[0] * (_scale(ks, es) * es.weights)
-    for f in factors:
-        f.flags.writeable = False
     return CPTensor(tuple(factors))
 
 
@@ -231,34 +231,32 @@ _STORE_LOCK = threading.Lock()
 class _FilterStore:
     """The filters of one operator, per sum, each built the first time a solve asks for it.
 
-    Sums hash by their parameters, so equal sums share their filters.  The
-    factors :func:`_sum_filter` builds are kept for every sum met,
-    ``sum(n_i) * N`` entries each.  The forms derived from them, the dense
+    Sums hash by their parameters, so equal sums share their filters.  Each
+    form of a sum, the factors :func:`_sum_filter` builds (``sum(n_i) * N``
+    entries, read by :func:`solve_cp` and the other Tucker solves), the dense
     filter (read by :func:`solve_dense` and every all-wide Tucker solve) and
-    the train for a budget (read by :func:`solve_tt`), are kept if and only
-    if they fit beside the kept ones within ``ks.memory_cap``; no kept form is
-    ever dropped.  Every kept array is read-only.  The store holds no
+    the train for a budget (read by :func:`solve_tt`), is kept if and only if
+    it fits beside the kept ones within ``ks.memory_cap``; no kept form is
+    ever dropped.  Every form is read-only, kept or not.  The store holds no
     reference to its operator, so it is freed with it, and a copy of the
     operator starts with an empty store.  Threads may share it: two that miss
     the same form both build it, and either copy is the same filter.
     """
 
     def __init__(self):
-        self._factors = {}  # sum -> CPTensor
-        self._forms = {}  # (sum, None) -> dense, (sum, budget) -> train; as (form, entries)
+        self._forms = {}  # (sum, "factors") -> CP, (sum, "dense") -> dense, (sum, budget) -> train; as (form, entries)
 
     def held(self) -> int:
-        """Entries of the kept dense and train forms; read it under ``_STORE_LOCK`` where threads share the store."""
+        """Entries of every kept array; read it under ``_STORE_LOCK`` where threads share the store."""
         return sum(entries for _, entries in self._forms.values())
 
     def factors(self, ks: KroneckerSum, es: ExpSum) -> CPTensor:
-        if es not in self._factors:
-            self._factors[es] = _sum_filter(ks, es)
-        return self._factors[es]
+        """The filter's per-mode factors."""
+        return self._form(ks, (es, "factors"), lambda: _sum_filter(ks, es))
 
     def dense(self, ks: KroneckerSum, es: ExpSum) -> np.ndarray:
         """The densified filter."""
-        return self._form(ks, (es, None), lambda: self.factors(ks, es).to_dense(ks.memory_cap))
+        return self._form(ks, (es, "dense"), lambda: self.factors(ks, es).to_dense(ks.memory_cap))
 
     def train(self, ks: KroneckerSum, es: ExpSum, budget: float) -> TTTensor:
         """The filter as a train within ``budget`` of it, left-orthogonal as ``tensors._sweep_round`` leaves it."""
@@ -268,7 +266,7 @@ class _FilterStore:
         if key in self._forms:  # a kept form is never dropped
             return self._forms[key][0]
         form = build()
-        arrays = getattr(form, "carriages", (form,))
+        arrays = form.factors if isinstance(form, CPTensor) else getattr(form, "carriages", (form,))
         for a in arrays:
             a.flags.writeable = False
         entries = sum(a.size for a in arrays)
@@ -415,7 +413,8 @@ def solve_tt(ks: KroneckerSum, c: TTTensor, es: ExpSum, round_tol: float = 1e-12
 
     The operator's :class:`_FilterStore` keeps ``F_delta``, which depends
     only on it, the sum and ``round_tol``, for the next solve, if its
-    carriages fit ``ks.memory_cap``; the roundings' working arrays do not count.
+    carriages fit beside the kept filters within ``ks.memory_cap``; the
+    roundings' working arrays do not count.
     """
     _check_nonnegative(round_tol, "round_tol")
     half = (es.n_terms - 1) * round_tol / 2

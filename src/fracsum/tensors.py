@@ -46,9 +46,9 @@ the cap; it raises :class:`MemoryCapError`, before it forms any, only where
 its result or the operands of a single term would have more; the solver's
 calls take the operator's ``KroneckerSum.memory_cap``.  :func:`cp_als` takes
 none: no array it forms but its ``rank x rank`` Grams exceeds its target.
-Outside any cap are the per-mode arrays an operator keeps, ``n_i x n_i``
-eigenvectors and ``n_i x N`` filter factors, and the working arrays of the
-train roundings (``_sweep_round``), which grow with the ranks and ``N``.
+Outside any cap are an operator's ``n_i x n_i`` eigenvectors, the per-mode
+arrays of ``n_i`` rows a solve forms, and the working arrays of the train
+roundings (``_sweep_round``), which grow with the ranks and ``N``.
 :func:`tt_round`, :func:`tt_svd`, :func:`hosvd` and :func:`cp_als` reject a
 target with non-finite entries with a one-line ``ValueError``.
 """

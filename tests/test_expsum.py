@@ -306,11 +306,13 @@ class TestBestExpsum:
             assert build_expsum(params).exponents[0] >= np.finfo(float).tiny
 
     def test_widest_strip_below_the_normal_range_is_not_an_error(self):
-        # at this small step the strip pi*alpha/8 would need eps < tiny; the
-        # search returns the widest set ExpSumParams accepts instead
-        params = _params_at(0.751337768152419, 0.0025538370338923696, 1774, 742)
-        assert params is not None and params.eps >= np.finfo(float).tiny
-        assert params.h == pytest.approx(0.0025538370338923696, rel=1e-12)
+        # at these small steps the strip pi*alpha/8 would need eps < tiny; the
+        # search returns the widest set ExpSumParams accepts instead.  At the
+        # second the first trial's eps, exp(-2*pi*(pi*alpha/8)/h), underflows to 0
+        for alpha, h, n_minus, n_plus in [(0.751337768152419, 0.0025538370338923696, 1774, 742), (0.5, 1.5e-3, 20000, 3000)]:
+            params = _params_at(alpha, h, n_minus, n_plus)
+            assert params is not None and params.eps >= np.finfo(float).tiny
+            assert params.h == pytest.approx(h, rel=1e-12)
 
     def test_hand_built_sum_gets_a_priori_bound(self):
         es = cached_best(0.5, 30)

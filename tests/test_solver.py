@@ -97,7 +97,8 @@ class TestKroneckerSum:
         want = solve_dense(ks, c, es)
         assert ks._filters.held() > 0
         dup = copy_of(ks)
-        assert dup._filters is not ks._filters and dup._filters.held() == 0 and not dup._filters._factors
+        # held() counts every kept array, the filter's factors included
+        assert dup._filters is not ks._filters and dup._filters.held() == 0 and not dup._filters._forms
         for a in (*dup.factors, *(a for pair in dup.spectra for a in pair)):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
@@ -635,7 +636,7 @@ def _same_solve(got, want) -> bool:
 
 
 class TestFilterStore:
-    """Each operator keeps the filters of the sums applied to it: the factors always, the dense and train forms within the cap."""
+    """Each operator keeps the filters of the sums applied to it, factors, dense and train forms alike, within its cap."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -703,7 +704,8 @@ class TestFilterStore:
 
     def test_a_cap_of_two_dense_forms_keeps_the_first_two(self, counted):
         factors = self._factors()
-        cap = 2 * 8**3
+        # two dense forms and the factors of N = 10 and 20 on 8^3 (24 rows of N)
+        cap = 2 * 8**3 + 240 + 480
         ks = KroneckerSum(factors, memory_cap=cap)
         sums = [build_expsum(params_for_terms(0.5, n)) for n in (10, 20, 30)]
         c = np.random.default_rng(28).standard_normal(ks.shape)
@@ -714,29 +716,31 @@ class TestFilterStore:
             got.append(solve_dense(ks, c, es))
             densified.append(counted["densify"] - before)
             assert ks._filters.held() <= cap
-        # sum 2 does not fit beside sums 0 and 1, so it is densified and not kept; 0 and 1 stay
+        # sum 2's factors and dense form do not fit beside sums 0 and 1, so neither is kept; 0 and 1 stay
         assert densified == [1, 1, 1, 0, 0, 0]
-        assert [key[0] for key in ks._filters._forms] == sums[:2]
+        assert list(ks._filters._forms) == [(es, form) for es in sums[:2] for form in ("factors", "dense")]
+        assert ks._filters.held() == cap
         assert counted["build"] == 3
         # under the cap the filters densify in chunks, so the reference is a fresh operator with the same cap
         for es, x in zip(order, got):
             assert _same_solve(x, solve_dense(KroneckerSum(factors, memory_cap=cap), c, es))
 
     def test_a_dense_form_that_does_not_fit_beside_the_train_is_not_kept(self):
-        # the cap holds one dense form or the 280-entry train, not both
+        # the cap holds the 240 entries of the factors and the 280-entry train, and no dense form beside them
         factors = self._factors()
-        ks = KroneckerSum(factors, memory_cap=8**3)
+        cap = 240 + 280
+        ks = KroneckerSum(factors, memory_cap=cap)
         c = np.random.default_rng(29).standard_normal(ks.shape)
         es = build_expsum(params_for_terms(0.5, 10))
         solve_tt(ks, tt_svd(c, tol=0.0), es, round_tol=1e-10)
-        train = [(es, (es.n_terms - 1) * 1e-10 / 2)]
-        assert list(ks._filters._forms) == train
-        assert ks._filters.held() == 280
-        # the kept train stays, and the dense form is built for the solve only
+        kept = [(es, "factors"), (es, (es.n_terms - 1) * 1e-10 / 2)]
+        assert list(ks._filters._forms) == kept
+        assert ks._filters.held() == cap
+        # the kept forms stay, and the dense form is built for the solve only
         x = solve_dense(ks, c, es)
-        assert list(ks._filters._forms) == train
-        assert ks._filters.held() == 280
-        assert _same_solve(x, solve_dense(KroneckerSum(factors, memory_cap=8**3), c, es))
+        assert list(ks._filters._forms) == kept
+        assert ks._filters.held() == cap
+        assert _same_solve(x, solve_dense(KroneckerSum(factors, memory_cap=cap), c, es))
 
     def test_kept_arrays_are_read_only(self):
         ks = KroneckerSum(self._factors())
@@ -744,27 +748,44 @@ class TestFilterStore:
         c = np.random.default_rng(30).standard_normal(ks.shape)
         solve_dense(ks, c, es)
         solve_tt(ks, tt_svd(c, tol=0.0), es, round_tol=1e-10)
-        kept = list(ks._filters.factors(ks, es).factors)
+        kept = []
         for form, _ in ks._filters._forms.values():
-            kept += getattr(form, "carriages", [form])
+            kept += form.factors if isinstance(form, CPTensor) else getattr(form, "carriages", [form])
+        # the factors, the dense form and the train's carriages
         assert len(kept) == 3 + 1 + 3
         for a in kept:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
 
     def test_a_train_above_the_cap_is_not_kept(self):
-        # the 280-entry train of the sum does not fit a cap of 279; the solve is the default-cap one
+        # the 280-entry train of the sum does not fit a cap of 279 beside its 240 factor entries;
+        # the solve is the default-cap one
         factors = self._factors()
         c = tt_svd(np.random.default_rng(34).standard_normal((8, 8, 8)), tol=0.0)
         es = build_expsum(params_for_terms(0.5, 10))
         default = KroneckerSum(factors)
         want, _ = solve_tt(default, c, es, round_tol=1e-10)
-        assert default._filters.held() == 280
+        assert default._filters.held() == 240 + 280
         ks = KroneckerSum(factors, memory_cap=279)
         x, _ = solve_tt(ks, c, es, round_tol=1e-10)
-        assert ks._filters.held() == 0 and not ks._filters._forms
+        assert ks._filters.held() == 240 and list(ks._filters._forms) == [(es, "factors")]
         assert [a.shape for a in x.carriages] == [a.shape for a in want.carriages]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(x.carriages, want.carriages))
+
+    def test_many_sums_keep_their_factors_within_the_cap(self):
+        # 200 CP solves with N = 3 .. 202 on 16^3: the factors of N = 3 .. 64 take 48 * N entries
+        # each, 99,696 together; N = 65 would not fit beside them, nor would any later sum
+        factors = [laplacian_1d(16)] * 3
+        cap = 100_000
+        ks, default = KroneckerSum(factors, memory_cap=cap), KroneckerSum(factors)
+        c = CPTensor.from_rank1([np.random.default_rng(35).standard_normal(16) for _ in range(3)])
+        sums = [build_expsum(params_for_terms(0.5, n)) for n in range(3, 203)]
+        for es in sums:
+            got = solve_cp(ks, c, es)
+            assert ks._filters.held() <= cap
+            assert _same_solve(got, solve_cp(default, c, es))
+        assert list(ks._filters._forms) == [(es, "factors") for es in sums[:62]]
+        assert ks._filters.held() == 48 * sum(range(3, 65)) == 99_696
 
     def test_a_kept_train_dies_with_its_operator(self):
         ks = KroneckerSum(self._factors())
